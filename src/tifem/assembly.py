@@ -14,10 +14,9 @@ import scipy.sparse.linalg as spla
 
 from .elements import (
     FormulationVariant,
-    element_stiffness,
     edge_shape_functions,
-    gauss_rule,
-    shape_functions,
+    element_stiffness,
+    geometry,
 )
 
 
@@ -56,11 +55,26 @@ class FieldSolution:
         return self.displacements[2 * node : 2 * node + 2]
 
 
-def _as_vector_function(spec):
-    if callable(spec):
-        return spec
-    vec = np.asarray(spec, dtype=float)
-    return lambda x, y: vec
+def _at_points(func, points, shape):
+    """Evaluate func(x, y), or a constant, at points (E, q, 2) into (E, q) + shape."""
+    if not callable(func):
+        return np.broadcast_to(np.asarray(func, dtype=float), points.shape[:2] + shape)
+    out = np.empty((points.shape[0] * points.shape[1],) + shape)
+    for i, (x, y) in enumerate(points.reshape(-1, 2).tolist()):
+        out[i] = func(x, y)
+    return out.reshape(points.shape[:2] + shape)
+
+
+def _add_load(f, conn, vals, wmeas, coords, spec):
+    """Add int N_a t dx over each cell (element or edge) to the load f.
+
+    conn (E, n) node indices, vals (q, n) shape values, wmeas (E, q) weight
+    times measure, coords (E, n, 2).
+    """
+    t = _at_points(spec, np.einsum("qn,eni->eqi", vals, coords), (2,))
+    fe = np.einsum("qn,eq,eqi->eni", vals, wmeas, t)
+    np.add.at(f, 2 * conn, fe[..., 0])
+    np.add.at(f, 2 * conn + 1, fe[..., 1])
 
 
 def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
@@ -68,58 +82,33 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
     if variant.order != mesh.order:
         raise ValueError(f"{variant.value} needs an order-{variant.order} mesh")
     ndof = 2 * mesh.n_nodes
-    n_en = mesh.elements.shape[1]
-    n_edof = 2 * n_en
+    conn = mesh.elements
+    coords = mesh.nodes[conn]
 
-    rows = np.empty(mesh.n_elements * n_edof * n_edof, dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(rows.shape[0])
-    for e in range(mesh.n_elements):
-        conn = mesh.elements[e]
-        Ke = element_stiffness(mesh.nodes[conn], mp, frame, variant)
-        edofs = np.empty(n_edof, dtype=np.int64)
-        edofs[0::2] = 2 * conn
-        edofs[1::2] = 2 * conn + 1
-        base = e * n_edof * n_edof
-        rows[base : base + n_edof * n_edof] = np.repeat(edofs, n_edof)
-        cols[base : base + n_edof * n_edof] = np.tile(edofs, n_edof)
-        vals[base : base + n_edof * n_edof] = Ke.ravel()
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+    Ke = element_stiffness(coords, mp, frame, variant)
+    edofs = np.stack([2 * conn, 2 * conn + 1], axis=-1).reshape(conn.shape[0], -1)
+    n_edof = edofs.shape[1]
+    rows = np.repeat(edofs, n_edof, axis=1).ravel()
+    cols = np.tile(edofs, n_edof).ravel()
+    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
 
     f = np.zeros(ndof)
     if body_force is not None:
-        bf = _as_vector_function(body_force)
-        rule = gauss_rule(mesh.order + 1)
-        for e in range(mesh.n_elements):
-            conn = mesh.elements[e]
-            coords = mesh.nodes[conn]
-            for xi, w in zip(rule.points, rule.weights):
-                vals_n, grads = shape_functions(mesh.order, xi)
-                J = coords.T @ grads
-                detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-                x, y = vals_n @ coords
-                fx, fy = bf(x, y)
-                f[2 * conn] += w * detJ * vals_n * fx
-                f[2 * conn + 1] += w * detJ * vals_n * fy
+        vals, _, wdet = geometry(coords, mesh.order, mesh.order + 1)
+        _add_load(f, conn, vals, wdet, coords, body_force)
 
     if tractions:
         # edge rule with order + 1 points (exact for the traction data used here)
         pts_1d, wts_1d = np.polynomial.legendre.leggauss(mesh.order + 1)
+        vals, ders = map(np.array, zip(*(edge_shape_functions(mesh.order, t) for t in pts_1d)))
         for tag, spec in tractions.items():
             if tag not in mesh.boundary_edges:
                 raise UnknownBoundaryTag(tag)
-            trac = _as_vector_function(spec)
-            for elem, edge in mesh.boundary_edges[tag]:
-                enodes = mesh.edge_nodes(elem, edge)
-                coords = mesh.nodes[enodes]
-                for t, w in zip(pts_1d, wts_1d):
-                    vals_n, ders = edge_shape_functions(mesh.order, t)
-                    x, y = vals_n @ coords
-                    dxdt = ders @ coords
-                    ds = np.hypot(dxdt[0], dxdt[1])
-                    tx, ty = trac(x, y)
-                    f[2 * enodes] += w * ds * vals_n * tx
-                    f[2 * enodes + 1] += w * ds * vals_n * ty
+            enodes = np.array([mesh.edge_nodes(*pair) for pair in mesh.boundary_edges[tag]])
+            ecoords = mesh.nodes[enodes]
+            tangent = np.einsum("qn,eni->eqi", ders, ecoords)
+            ds = np.hypot(tangent[..., 0], tangent[..., 1])
+            _add_load(f, enodes, vals, wts_1d * ds, ecoords, spec)
 
     return LinearSystem(
         stiffness=K, load=f, mesh=mesh, variant=variant,
@@ -162,13 +151,14 @@ def solve(system):
     if free.size == 0:
         return FieldSolution(system.mesh, u, system.variant, system.material, system.frame)
 
-    K = system.stiffness.tocsc()
-    K_ff = K[free][:, free]
+    K_f = system.stiffness[free]
+    K_ff = K_f[:, free].tocsc()
     rhs = system.load[free]
     if cdofs.size:
-        rhs = rhs - K[free][:, cdofs] @ cvals
+        rhs = rhs - K_f[:, cdofs] @ cvals
+    del K_f  # release the full-width rows before the factors are allocated
     try:
-        lu = spla.splu(K_ff.tocsc())
+        lu = spla.splu(K_ff)
         u_f = lu.solve(rhs)
     except RuntimeError as err:
         raise SingularSystem(str(err)) from err
@@ -204,31 +194,19 @@ def h1_error(solution, exact_u, exact_grad, relative=False):
     both errors are normalized by the corresponding norms of the exact field.
     """
     mesh = solution.mesh
-    rule = gauss_rule(mesh.order + 2)
-    l2_sq = 0.0
-    grad_sq = 0.0
-    exact_l2_sq = 0.0
-    exact_h1_sq = 0.0
-    for e in range(mesh.n_elements):
-        conn = mesh.elements[e]
-        coords = mesh.nodes[conn]
-        ue = np.column_stack(
-            [solution.displacements[2 * conn], solution.displacements[2 * conn + 1]]
-        )
-        for xi, w in zip(rule.points, rule.weights):
-            vals, grads = shape_functions(mesh.order, xi)
-            J = coords.T @ grads
-            detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            dN = grads @ np.linalg.inv(J)
-            x, y = vals @ coords
-            uh = vals @ ue                     # (2,)
-            Gh = ue.T @ dN                     # (2, 2), du_i/dx_j
-            ux = np.asarray(exact_u(x, y), dtype=float)
-            Gx = np.asarray(exact_grad(x, y), dtype=float)
-            l2_sq += w * detJ * np.sum((uh - ux) ** 2)
-            grad_sq += w * detJ * np.sum((Gh - Gx) ** 2)
-            exact_l2_sq += w * detJ * np.sum(ux**2)
-            exact_h1_sq += w * detJ * (np.sum(ux**2) + np.sum(Gx**2))
+    conn = mesh.elements
+    coords = mesh.nodes[conn]
+    vals, dN, wdet = geometry(coords, mesh.order, mesh.order + 2)
+    ue = solution.displacements.reshape(-1, 2)[conn]           # (E, n, 2)
+    points = np.einsum("qn,eni->eqi", vals, coords)
+    uh = np.einsum("qn,eni->eqi", vals, ue)
+    Gh = np.einsum("eni,eqnj->eqij", ue, dN)                   # du_i/dx_j
+    ux = _at_points(exact_u, points, (2,))
+    Gx = _at_points(exact_grad, points, (2, 2))
+    l2_sq = np.sum(wdet * np.sum((uh - ux) ** 2, axis=-1))
+    grad_sq = np.sum(wdet * np.sum((Gh - Gx) ** 2, axis=(-2, -1)))
+    exact_l2_sq = np.sum(wdet * np.sum(ux**2, axis=-1))
+    exact_h1_sq = exact_l2_sq + np.sum(wdet * np.sum(Gx**2, axis=(-2, -1)))
     l2 = np.sqrt(l2_sq)
     h1 = np.sqrt(l2_sq + grad_sq)
     if relative:

@@ -162,9 +162,13 @@ def _refines(refine):
     return tuple(int(r) for r in refine)
 
 
-def run_cook(cfg):
-    """Tip-displacement sweep on the tapered panel: clamped left edge,
-    uniform vertical shear on the right edge with resultant cfg.f."""
+def _sweep(cfg, make_mesh, solve_row):
+    """Rows over cfg's variants x p_list x angles x refine, sorted.
+
+    make_mesh(refine, order) builds each mesh once; solve_row(mesh, mp,
+    frame, variant) returns the row's result fields.  A row that fails for
+    any reason keeps its inputs and an error marker.
+    """
     report = ErrorReport()
     meshes = {}
     for variant in map(_as_variant, cfg.variants):
@@ -183,26 +187,34 @@ def run_cook(cfg):
                         frame = mat.FibreFrame.from_angle(angle)
                         key = (n, variant.order)
                         if key not in meshes:
-                            meshes[key] = cook_mesh(n, variant.order)
+                            meshes[key] = make_mesh(n, variant.order)
                         mesh = meshes[key]
-                        edge_len = 60.0 - 44.0
-                        system = assemble(
-                            mesh, mp, frame, variant,
-                            tractions={"right": (0.0, cfg.f / edge_len)},
-                        )
-                        apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
-                        sol = solve(system)
-                        tip = mesh.boundary_nodes["tip"][0]
-                        du, dv = sol.at_node(tip)
                         row = replace(
                             row, h=mesh.h, dofs=2 * mesh.n_nodes,
-                            tip_u=float(du), tip_v=float(dv),
+                            **solve_row(mesh, mp, frame, variant),
                         )
                     except Exception as err:  # noqa: BLE001 - per-row error marker
                         row = replace(row, status=f"error:{type(err).__name__}")
                     report.rows.append(row)
     report.sort()
     return report
+
+
+def run_cook(cfg):
+    """Tip-displacement sweep on the tapered panel: clamped left edge,
+    uniform vertical shear on the right edge with resultant cfg.f."""
+
+    def solve_row(mesh, mp, frame, variant):
+        edge_len = 60.0 - 44.0
+        system = assemble(
+            mesh, mp, frame, variant,
+            tractions={"right": (0.0, cfg.f / edge_len)},
+        )
+        apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
+        du, dv = solve(system).at_node(mesh.boundary_nodes["tip"][0])
+        return {"tip_u": float(du), "tip_v": float(dv)}
+
+    return _sweep(cfg, cook_mesh, solve_row)
 
 
 def beam_exact(cfg, mp, frame):
@@ -251,62 +263,37 @@ def run_beam(cfg):
     vertical component is pinned at the bottom-left corner, and the edge
     x = L carries the linearly varying horizontal traction.
     """
-    report = ErrorReport()
-    meshes = {}
-    for variant in map(_as_variant, cfg.variants):
-        for p in cfg.p_list:
-            for angle in cfg.angles:
-                for nx in _refines(cfg.refine):
-                    row = ReportRow(
-                        variant=variant.value, p=p, q=cfg.q,
-                        nu_t=cfg.nu_t, nu_l=cfg.nu_l, angle=angle, refine=nx,
-                    )
-                    try:
-                        ec = mat.EngineeringConstants(cfg.E_t, p, cfg.q, cfg.nu_t, cfg.nu_l)
-                        if not mat.check_stability(ec).admissible:
-                            raise ValueError("inadmissible material")
-                        mp = mat.derive_parameters(ec)
-                        frame = mat.FibreFrame.from_angle(angle)
-                        ny = max(1, nx // 5)
-                        key = (nx, ny, variant.order)
-                        if key not in meshes:
-                            meshes[key] = rectangle_mesh(cfg.L, cfg.H, nx, ny, variant.order)
-                        mesh = meshes[key]
-                        g = beam_edge_profile(cfg, mp, frame)
-                        c = 2.0 * cfg.f / cfg.H
-                        system = assemble(
-                            mesh, mp, frame, variant,
-                            tractions={"right": lambda x, y: (-c * y, 0.0)},
-                        )
-                        corner_a = int(
-                            np.argmin(
-                                np.abs(mesh.nodes[:, 0])
-                                + np.abs(mesh.nodes[:, 1] + cfg.H / 2.0)
-                            )
-                        )
-                        apply_dirichlet(
-                            system,
-                            {"left": lambda x, y: (g(y), None)},
-                            node_constraints=[(corner_a, 1, 0.0)],
-                        )
-                        sol = solve(system)
-                        u_func, grad_func = beam_exact(cfg, mp, frame)
-                        h1, l2 = h1_error(sol, u_func, grad_func, relative=True)
-                        tip = int(
-                            np.argmin(
-                                np.abs(mesh.nodes[:, 0] - cfg.L)
-                                + np.abs(mesh.nodes[:, 1] + cfg.H / 2.0)
-                            )
-                        )
-                        du, dv = sol.at_node(tip)
-                        row = replace(
-                            row, h=mesh.h, dofs=2 * mesh.n_nodes,
-                            tip_u=float(du), tip_v=float(dv),
-                            h1_error=float(h1), l2_error=float(l2),
-                        )
-                    except Exception as err:  # noqa: BLE001 - per-row error marker
-                        row = replace(row, status=f"error:{type(err).__name__}")
-                    report.rows.append(row)
+
+    def bottom_node(mesh, x):
+        return int(
+            np.argmin(np.abs(mesh.nodes[:, 0] - x) + np.abs(mesh.nodes[:, 1] + cfg.H / 2.0))
+        )
+
+    def solve_row(mesh, mp, frame, variant):
+        g = beam_edge_profile(cfg, mp, frame)
+        c = 2.0 * cfg.f / cfg.H
+        system = assemble(
+            mesh, mp, frame, variant,
+            tractions={"right": lambda x, y: (-c * y, 0.0)},
+        )
+        apply_dirichlet(
+            system,
+            {"left": lambda x, y: (g(y), None)},
+            node_constraints=[(bottom_node(mesh, 0.0), 1, 0.0)],
+        )
+        sol = solve(system)
+        u_func, grad_func = beam_exact(cfg, mp, frame)
+        h1, l2 = h1_error(sol, u_func, grad_func, relative=True)
+        du, dv = sol.at_node(bottom_node(mesh, cfg.L))
+        return {
+            "tip_u": float(du), "tip_v": float(dv),
+            "h1_error": float(h1), "l2_error": float(l2),
+        }
+
+    def make_mesh(nx, order):
+        return rectangle_mesh(cfg.L, cfg.H, nx, max(1, nx // 5), order)
+
+    report = _sweep(cfg, make_mesh, solve_row)
     report.attach_rates()
     return report
 

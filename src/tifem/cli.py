@@ -103,7 +103,6 @@ def cmd_stability(args):
 def cmd_material(args):
     ps = parse_floats(args.p)
     lines = ["p,q,nu_t,nu_l,lambda,mu_t,mu_l,alpha,beta,gamma,c1,admissible,violated"]
-    status = 0
     for p in ps:
         ec = mat.EngineeringConstants(args.Et, p, args.q, args.nu_t, args.nu_l)
         verdict = mat.check_stability(ec)
@@ -127,7 +126,7 @@ def cmd_material(args):
             )
         )
     _write(args.out, "\n".join(lines) + "\n")
-    return status
+    return 0
 
 
 def _strict_check(p_list, q, nu_t, nu_l):
@@ -178,7 +177,6 @@ def _add_material_flags(sp, Et_default):
 
 def _add_common(sp):
     sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--strict", action="store_true")
     sp.add_argument("--config", default=None)
 

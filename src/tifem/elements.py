@@ -9,10 +9,12 @@ elementwise L2 projection of the extensional strain onto constants.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+
+from .material import plane_strain_stiffness
 
 
 class NonPositiveJacobian(ValueError):
@@ -31,19 +33,21 @@ class FormulationVariant(enum.Enum):
     def order(self):
         return 2 if self is FormulationVariant.Q2_CG else 1
 
-    @property
-    def underintegrate_lambda(self):
-        return self in (
-            FormulationVariant.Q1_CG_UI_lambda,
-            FormulationVariant.Q1_CG_UI_betalambda,
-        )
 
-    @property
-    def underintegrate_beta(self):
-        return self in (
-            FormulationVariant.Q1_CG_UI_beta,
-            FormulationVariant.Q1_CG_UI_betalambda,
-        )
+# Rule of the lambda-term and of the beta-term per variant: "full" leaves the
+# term in the constitutive matrix on the full-order rule, "one" takes the
+# one-point rule, "p0" the elementwise L2 projection onto constants.
+_TERM_RULES = {
+    FormulationVariant.Q1_CG: ("full", "full"),
+    FormulationVariant.Q2_CG: ("full", "full"),
+    FormulationVariant.Q1_CG_UI_lambda: ("one", "full"),
+    FormulationVariant.Q1_CG_UI_beta: ("full", "one"),
+    FormulationVariant.Q1_CG_UI_betalambda: ("one", "one"),
+    FormulationVariant.Q1_MIXED_P0_beta: ("full", "p0"),
+}
+# Gauss points per direction of the reduced rules; the projected integrals
+# are exact on the 2x2 rule for bilinearly mapped elements.
+_REDUCED_GAUSS = {"one": 1, "p0": 2}
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,49 @@ def edge_shape_functions(order, t):
     return vals, ders
 
 
+@lru_cache(maxsize=None)
+def _tabulated(order, n_gauss):
+    """Shape values (q, n), reference gradients (q, n, 2) and the rule."""
+    rule = gauss_rule(n_gauss)
+    vals, grads = zip(*(shape_functions(order, xi) for xi in rule.points))
+    return np.array(vals), np.array(grads), rule
+
+
+def geometry(coords, order, n_gauss):
+    """Element geometry batched over elements and Gauss points.
+
+    coords: (E, n, 2) node coordinates.  Returns shape values (q, n),
+    physical gradients (E, q, n, 2) and weight * det J (E, q) on the
+    n_gauss x n_gauss rule.
+    """
+    vals, grads, rule = _tabulated(order, n_gauss)
+    J = np.einsum("eni,qnj->eqij", coords, grads)   # J[..., i, j] = dx_i/dxi_j
+    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    bad = np.argwhere(detJ <= 0.0)
+    if bad.size:
+        e, q = bad[0]
+        raise NonPositiveJacobian(
+            f"element {e}: det J = {detJ[e, q]} at {rule.points[q].tolist()}"
+        )
+    inv = np.empty_like(J)
+    inv[..., 0, 0] = J[..., 1, 1]
+    inv[..., 0, 1] = -J[..., 0, 1]
+    inv[..., 1, 0] = -J[..., 1, 0]
+    inv[..., 1, 1] = J[..., 0, 0]
+    inv /= detJ[..., None, None]
+    return vals, grads @ inv, rule.weights * detJ
+
+
+def _strain_matrix(dN):
+    """Voigt B matrices (..., 3, 2n) from physical gradients (..., n, 2)."""
+    B = np.zeros(dN.shape[:-2] + (3, 2 * dN.shape[-2]))
+    B[..., 0, 0::2] = dN[..., 0]
+    B[..., 1, 1::2] = dN[..., 1]
+    B[..., 2, 0::2] = dN[..., 1]
+    B[..., 2, 1::2] = dN[..., 0]
+    return B
+
+
 # Voigt selectors (strain ordering 11, 22, 2*12).
 _B_VOL = np.array([1.0, 1.0, 0.0])
 
@@ -117,103 +164,61 @@ def _extensional_selector(frame):
     return np.array([a1 * a1, a2 * a2, a1 * a2])
 
 
-def _gamma_matrix(frame):
-    a1, a2 = frame.vec[:2]
-    return np.array(
-        [
-            [2.0 * a1 * a1, 0.0, a1 * a2],
-            [0.0, 2.0 * a2 * a2, a1 * a2],
-            [a1 * a2, a1 * a2, 0.5],
-        ]
-    )
+def _reduced_term(coords, order, selector, n_gauss):
+    """Unit-coefficient terms (int g)(int g)^T / |E| with g = B^T selector.
 
-
-def _geometry_at(coords, order, xi):
-    """B matrix (3 x 2n) and Jacobian determinant at a reference point."""
-    vals, grads = shape_functions(order, xi)
-    J = coords.T @ grads                     # (2, 2), J[i, j] = dx_i/dxi_j
-    detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    if detJ <= 0.0:
-        raise NonPositiveJacobian(f"det J = {detJ} at {tuple(xi)}")
-    dN = grads @ np.linalg.inv(J)            # (n, 2) physical gradients
-    n = coords.shape[0]
-    B = np.zeros((3, 2 * n))
-    B[0, 0::2] = dN[:, 0]
-    B[1, 1::2] = dN[:, 1]
-    B[2, 0::2] = dN[:, 1]
-    B[2, 1::2] = dN[:, 0]
-    return vals, B, detJ
+    On the one-point rule this is the under-integrated term; on the 2x2 rule
+    it is the term with its integrand projected onto constants.
+    """
+    _, dN, wdet = geometry(coords, order, n_gauss)
+    g = np.einsum("eq,eqj->ej", wdet, selector @ _strain_matrix(dN))
+    return g[:, :, None] * g[:, None, :] / wdet.sum(axis=1)[:, None, None]
 
 
 def element_stiffness(coords, mp, frame, variant):
     """Element stiffness matrix for one formulation variant.
 
-    coords: (n, 2) node coordinates matching the variant's order.
+    coords: (n, 2) node coordinates matching the variant's order, giving a
+    (2n, 2n) matrix, or (E, n, 2) for E elements, giving (E, 2n, 2n).
     """
     coords = np.asarray(coords, dtype=float)
     order = variant.order
     n_expected = 4 if order == 1 else 9
-    if coords.shape != (n_expected, 2):
+    if coords.ndim not in (2, 3) or coords.shape[-2:] != (n_expected, 2):
         raise ValueError(
-            f"{variant.value} expects {n_expected} nodes, got {coords.shape[0]}"
+            f"{variant.value} expects {n_expected} nodes, got shape {coords.shape}"
         )
+    batch = coords.reshape(-1, n_expected, 2)
 
-    m_ext = _extensional_selector(frame)
-    G = _gamma_matrix(frame)
-    D_base = (
-        2.0 * mp.mu_t * np.diag([1.0, 1.0, 0.5])
-        + mp.alpha * (np.outer(_B_VOL, m_ext) + np.outer(m_ext, _B_VOL))
-        + mp.gamma * G
-    )
-
-    full = gauss_rule(order + 1)
-    ndof = 2 * coords.shape[0]
-    K_base = np.zeros((ndof, ndof))
-    K_lam = np.zeros((ndof, ndof))
-    K_beta = np.zeros((ndof, ndof))
-    for xi, w in zip(full.points, full.weights):
-        _, B, detJ = _geometry_at(coords, order, xi)
-        K_base += w * detJ * (B.T @ D_base @ B)
-        gv = B.T @ _B_VOL
-        gm = B.T @ m_ext
-        K_lam += w * detJ * np.outer(gv, gv)
-        K_beta += w * detJ * np.outer(gm, gm)
-
-    if variant.underintegrate_lambda:
-        K_lam = _one_point_term(coords, order, _B_VOL)
-    if variant.underintegrate_beta:
-        K_beta = _one_point_term(coords, order, m_ext)
-    if variant is FormulationVariant.Q1_MIXED_P0_beta:
-        K_beta = _p0_term(coords, order, m_ext)
-
-    K = K_base + mp.lam * K_lam + mp.beta * K_beta
-    return 0.5 * (K + K.T)
+    selectors = {"lam": _B_VOL, "beta": _extensional_selector(frame)}
+    reduced = {t: r for t, r in zip(selectors, _TERM_RULES[variant]) if r != "full"}
+    D = plane_strain_stiffness(replace(mp, **dict.fromkeys(reduced, 0.0)), frame)
+    _, dN, wdet = geometry(batch, order, order + 1)
+    B = _strain_matrix(dN)
+    E, q, _, ndof = B.shape
+    Bw = (B * wdet[..., None, None]).reshape(E, 3 * q, ndof)
+    K = np.swapaxes(Bw, 1, 2) @ (D @ B).reshape(E, 3 * q, ndof)
+    for term, rule in reduced.items():
+        selector = selectors[term]
+        K += getattr(mp, term) * _reduced_term(batch, order, selector, _REDUCED_GAUSS[rule])
+    K += np.swapaxes(K, 1, 2)
+    K *= 0.5
+    return K.reshape(coords.shape[:-2] + (ndof, ndof))
 
 
-def _one_point_term(coords, order, selector):
-    """Unit-coefficient rank-one term from the one-point Gauss rule."""
-    rule = gauss_rule(1)
-    xi, w = rule.points[0], rule.weights[0]
-    _, B, detJ = _geometry_at(coords, order, xi)
-    g = B.T @ selector
-    return w * detJ * np.outer(g, g)
-
-
-def _p0_term(coords, order, selector):
-    """Unit-coefficient term with the integrand projected onto constants.
-
-    The projected bilinear term reduces to (1/|E|) (int g)(int g)^T; the
-    integrals are polynomial of low enough degree for the 2x2 rule to be
-    exact on bilinearly mapped elements.
-    """
-    rule = gauss_rule(2)
-    g = np.zeros(2 * coords.shape[0])
-    area = 0.0
-    for xi, w in zip(rule.points, rule.weights):
-        _, B, detJ = _geometry_at(coords, order, xi)
-        g += w * detJ * (B.T @ selector)
-        area += w * detJ
-    return np.outer(g, g) / area
+def _order_one_term(coords, coefficient, which, frame, rule):
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (4, 2):
+        raise ValueError("reduced terms are defined for order-1 elements")
+    if which == "volumetric":
+        selector = _B_VOL
+    elif which == "extensional":
+        if frame is None:
+            raise ValueError("extensional term needs a fibre frame")
+        selector = _extensional_selector(frame)
+    else:
+        raise ValueError(f"unknown term selector {which!r}")
+    return coefficient * _reduced_term(coords[None], 1, selector, _REDUCED_GAUSS[rule])[0]
 
 
 def p0_projected_term(coords, coefficient, which, frame=None):
@@ -222,31 +227,9 @@ def p0_projected_term(coords, coefficient, which, frame=None):
     which: "volumetric" (divergence integrand) or "extensional" (fibre-strain
     integrand, requires a frame).  Order-1 elements only.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape[0] != 4:
-        raise ValueError("P0 projection is defined for order-1 elements")
-    if which == "volumetric":
-        selector = _B_VOL
-    elif which == "extensional":
-        if frame is None:
-            raise ValueError("extensional term needs a fibre frame")
-        selector = _extensional_selector(frame)
-    else:
-        raise ValueError(f"unknown term selector {which!r}")
-    return coefficient * _p0_term(coords, 1, selector)
+    return _order_one_term(coords, coefficient, which, frame, "p0")
 
 
 def one_point_term(coords, coefficient, which, frame=None):
     """One-point under-integrated counterpart of p0_projected_term."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape[0] != 4:
-        raise ValueError("under-integration is defined for order-1 elements")
-    if which == "volumetric":
-        selector = _B_VOL
-    elif which == "extensional":
-        if frame is None:
-            raise ValueError("extensional term needs a fibre frame")
-        selector = _extensional_selector(frame)
-    else:
-        raise ValueError(f"unknown term selector {which!r}")
-    return coefficient * _one_point_term(coords, 1, selector)
+    return _order_one_term(coords, coefficient, which, frame, "one")

@@ -249,31 +249,21 @@ def plane_strain_stiffness(mp, frame):
 
 
 def plane_strain_compliance(mp, frame):
-    """3x3 plane-strain compliance from the closed-form inverse.
+    """3x3 plane-strain compliance: cofactor inverse of plane_strain_stiffness.
 
-    Entries are the analytic cofactor expressions; used by the beam's
-    analytical solution and as an independent check on the stiffness.
+    Used by the beam's analytical solution.
     """
-    a = frame.vec
-    if abs(np.linalg.norm(a[:2]) - 1.0) > 1e-14:
+    if abs(np.linalg.norm(frame.vec[:2]) - 1.0) > 1e-14:
         raise ValueError("plane-strain compliance needs an in-plane unit fibre")
-    a1, a2 = a[:2]
-    lam, mu_t = mp.lam, mp.mu_t
-    alpha, beta, gamma = mp.alpha, mp.beta, mp.gamma
-
-    c11 = lam + 2.0 * mu_t + 2.0 * (gamma + alpha) * a1**2 + beta * a1**4
-    c22 = lam + 2.0 * mu_t + 2.0 * (gamma + alpha) * a2**2 + beta * a2**4
-    c12 = lam + alpha + beta * a1**2 * a2**2
-    c13 = (alpha + gamma) * a1 * a2 + beta * a1**3 * a2
-    c23 = (alpha + gamma) * a1 * a2 + beta * a1 * a2**3
-    c33 = mu_t + 0.5 * gamma + beta * a1**2 * a2**2
-
+    (c11, c12, c13), (_, c22, c23), (_, _, c33) = plane_strain_stiffness(mp, frame)
     det = (
         c11 * (c22 * c33 - c23**2)
         - c12 * (c12 * c33 - c13 * c23)
         + c13 * (c12 * c23 - c13 * c22)
     )
-    scale = (abs(lam) + 2.0 * mu_t + abs(alpha) + abs(beta) + abs(gamma)) ** 3
+    scale = (
+        abs(mp.lam) + 2.0 * mp.mu_t + abs(mp.alpha) + abs(mp.beta) + abs(mp.gamma)
+    ) ** 3
     if abs(det) <= 1e-14 * scale:
         raise SingularStiffness(f"plane-strain stiffness determinant {det} ~ 0")
 

@@ -7,10 +7,12 @@ from tifem import (
     FibreFrame,
     FormulationVariant,
     MaterialParameters,
+    NonPositiveJacobian,
     SingularSystem,
     UnknownBoundaryTag,
     apply_dirichlet,
     assemble,
+    cook_mesh,
     derive_parameters,
     element_stiffness,
     h1_error,
@@ -91,9 +93,35 @@ class TestAssemble:
         assert system.load[0::2].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_body_force_resultant(self):
-        mesh = rectangle_mesh(2.0, 1.0, 3, 2, order=1)
-        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, body_force=(0.0, -5.0))
-        assert system.load[1::2].sum() == pytest.approx(-5.0 * 2.0, rel=1e-12)
+        for variant in (V.Q1_CG, V.Q2_CG):
+            mesh = rectangle_mesh(2.0, 1.0, 3, 2, order=variant.order)
+            # constant and pointwise forces with the same resultant over [0, 2] x [-1/2, 1/2]
+            for force in ((0.0, -5.0), lambda x, y: (0.0, -5.0 * x)):
+                system = assemble(mesh, MP_ISO, FRAME0, variant, body_force=force)
+                assert system.load[1::2].sum() == pytest.approx(-5.0 * 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", list(V))
+    def test_hand_scatter_on_distorted_mesh(self, variant, rng):
+        mesh = cook_mesh(3, variant.order)
+        mp = derive_parameters(sample_admissible(rng))
+        frame = FibreFrame.from_angle(0.7)
+        system = assemble(mesh, mp, frame, variant)
+        K_oracle = np.zeros((2 * mesh.n_nodes, 2 * mesh.n_nodes))
+        for conn in mesh.elements:
+            Ke = element_stiffness(mesh.nodes[conn], mp, frame, variant)
+            for i_loc, i_node in enumerate(conn):
+                for j_loc, j_node in enumerate(conn):
+                    K_oracle[2 * i_node : 2 * i_node + 2, 2 * j_node : 2 * j_node + 2] += Ke[
+                        2 * i_loc : 2 * i_loc + 2, 2 * j_loc : 2 * j_loc + 2
+                    ]
+        K = system.stiffness.toarray()
+        assert np.abs(K - K_oracle).max() <= 1e-12 * np.abs(K_oracle).max()
+
+    def test_inverted_element_is_named(self):
+        mesh = rectangle_mesh(2.0, 2.0, 2, 2, order=1)
+        mesh.elements[2] = mesh.elements[2][::-1]  # clockwise
+        with pytest.raises(NonPositiveJacobian, match=r"^element 2: det J = -0\.25 "):
+            assemble(mesh, MP_ISO, FRAME0, V.Q1_CG)
 
 
 class TestDirichletAndSolve:
