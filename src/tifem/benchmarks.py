@@ -152,16 +152,6 @@ class ErrorReport:
         return None
 
 
-def _as_variant(v):
-    return v if isinstance(v, FormulationVariant) else FormulationVariant(v)
-
-
-def _refines(refine):
-    if isinstance(refine, (int, np.integer)):
-        return (int(refine),)
-    return tuple(int(r) for r in refine)
-
-
 def _sweep(cfg, make_mesh, solve_row):
     """Rows over cfg's variants x p_list x angles x refine, sorted.
 
@@ -171,10 +161,10 @@ def _sweep(cfg, make_mesh, solve_row):
     """
     report = ErrorReport()
     meshes = {}
-    for variant in map(_as_variant, cfg.variants):
+    for variant in cfg.variants:
         for p in cfg.p_list:
             for angle in cfg.angles:
-                for n in _refines(cfg.refine):
+                for n in cfg.refine:
                     row = ReportRow(
                         variant=variant.value, p=p, q=cfg.q,
                         nu_t=cfg.nu_t, nu_l=cfg.nu_l, angle=angle, refine=n,
@@ -313,7 +303,7 @@ def locking_diagnostic(report, reference_variant, threshold=0.9):
 
     Rows whose ratio falls below the threshold are flagged as locked.
     """
-    ref_name = _as_variant(reference_variant).value
+    ref_name = reference_variant.value
     refs = {
         (r.p, r.angle, r.refine): r
         for r in report.rows

@@ -11,6 +11,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 
 from . import material as mat
 from .benchmarks import (
@@ -22,7 +23,15 @@ from .benchmarks import (
 )
 from .elements import FormulationVariant
 
-_ANGLE_RE = re.compile(r"^(\d*)pi(?:/(\d+))?$")
+_ANGLE_RE = re.compile(r"^(\d*)pi(?:/(0*[1-9]\d*))?$")
+
+
+def parse_float(token):
+    """A finite float; NaN and infinities are rejected."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {token!r}")
+    return value
 
 
 def parse_angle(token):
@@ -33,7 +42,7 @@ def parse_angle(token):
         num = int(m.group(1)) if m.group(1) else 1
         den = int(m.group(2)) if m.group(2) else 1
         return num * math.pi / den
-    return float(token)
+    return parse_float(token)
 
 
 def parse_angles(spec):
@@ -43,11 +52,15 @@ def parse_angles(spec):
 
 
 def parse_floats(spec):
-    return tuple(float(t) for t in spec.split(","))
+    return tuple(parse_float(t) for t in spec.split(","))
 
 
 def parse_ints(spec):
-    return tuple(int(t) for t in spec.split(","))
+    """Comma-separated mesh refinement levels, each at least 1."""
+    values = tuple(int(t) for t in spec.split(","))
+    if min(values) < 1:
+        raise ValueError(f"refinement levels must be at least 1: {spec!r}")
+    return values
 
 
 def parse_variants(spec):
@@ -78,10 +91,7 @@ def stability_grid(p_min, p_max, p_steps, nu_min, nu_max, nu_steps):
 
 
 def cmd_stability(args):
-    if args.p_steps < 1 or args.nu_steps < 1 or not (
-        math.isfinite(args.p_min) and math.isfinite(args.p_max)
-        and math.isfinite(args.nu_min) and math.isfinite(args.nu_max)
-    ):
+    if args.p_steps < 1 or args.nu_steps < 1:
         print("malformed grid specification", file=sys.stderr)
         return 2
     ps, nus = stability_grid(
@@ -100,15 +110,24 @@ def cmd_stability(args):
     return 0
 
 
-def cmd_material(args):
-    ps = parse_floats(args.p)
-    lines = ["p,q,nu_t,nu_l,lambda,mu_t,mu_l,alpha,beta,gamma,c1,admissible,violated"]
-    for p in ps:
-        ec = mat.EngineeringConstants(args.Et, p, args.q, args.nu_t, args.nu_l)
+def _admissible(args):
+    """--strict check of every p in --p, with the command's own material flags."""
+    for p in args.p_list:
+        ec = mat.EngineeringConstants(args.E_t, p, args.q, args.nu_t, args.nu_l)
         verdict = mat.check_stability(ec)
-        if args.strict and not verdict.admissible:
+        if not verdict.admissible:
             print(f"inadmissible material at p={p}: {verdict.violated}", file=sys.stderr)
-            return 3
+            return False
+    return True
+
+
+def cmd_material(args):
+    if args.strict and not _admissible(args):
+        return 3
+    lines = ["p,q,nu_t,nu_l,lambda,mu_t,mu_l,alpha,beta,gamma,c1,admissible,violated"]
+    for p in args.p_list:
+        ec = mat.EngineeringConstants(args.E_t, p, args.q, args.nu_t, args.nu_l)
+        verdict = mat.check_stability(ec)
         try:
             mp = mat.derive_parameters(ec)
         except mat.DegenerateDenominator as err:
@@ -129,55 +148,33 @@ def cmd_material(args):
     return 0
 
 
-def _strict_check(p_list, q, nu_t, nu_l):
-    for p in p_list:
-        ec = mat.EngineeringConstants(1.0, p, q, nu_t, nu_l)
-        if not mat.check_stability(ec).admissible:
-            print(f"inadmissible (p, nu) pair: p={p}, nu_t={nu_t}, nu_l={nu_l}",
-                  file=sys.stderr)
-            return False
-    return True
-
-
-def cmd_cook(args):
-    p_list = parse_floats(args.p)
-    if args.strict and not _strict_check(p_list, args.q, args.nu_t, args.nu_l):
+def cmd_sweep(args):
+    """Run `cook` or `beam` on the config whose fields are the parsed flags."""
+    if args.strict and not _admissible(args):
         return 2
-    cfg = CookConfig(
-        E_t=args.Et, f=args.load, nu_t=args.nu_t, nu_l=args.nu_l, q=args.q,
-        p_list=p_list, angles=parse_angles(args.angles),
-        refine=parse_ints(args.refine), variants=parse_variants(args.variants),
+    cfg = args.config_class(
+        **{f.name: getattr(args, f.name) for f in fields(args.config_class)}
     )
-    report = run_cook(cfg)
+    report = args.run(cfg)
     _write(args.out, report.to_csv())
     return 0 if report.all_ok else 4
 
 
-def cmd_beam(args):
-    p_list = parse_floats(args.p)
-    if args.strict and not _strict_check(p_list, args.q, args.nu_t, args.nu_l):
-        return 2
-    cfg = BeamConfig(
-        L=args.length, H=args.height, f=args.load, E_t=args.Et,
-        nu_t=args.nu_t, nu_l=args.nu_l, q=args.q,
-        p_list=p_list, angles=parse_angles(args.angles),
-        refine=parse_ints(args.refine), variants=parse_variants(args.variants),
-    )
-    report = run_beam(cfg)
-    _write(args.out, report.to_csv())
-    return 0 if report.all_ok else 4
+# A setting's flag is its name with - for _, except for these.
+_FLAG_NAMES = {"L": "--length", "H": "--height", "f": "--load", "E_t": "--Et", "p_list": "--p"}
+# Parser of each setting that is not a single finite float.
+_TYPES = {
+    "p_list": parse_floats, "angles": parse_angles, "refine": parse_ints,
+    "variants": parse_variants, "p_steps": int, "nu_steps": int,
+}
 
 
-def _add_material_flags(sp, Et_default):
-    sp.add_argument("--Et", type=float, default=Et_default)
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--nu-t", dest="nu_t", type=float, default=0.49995)
-    sp.add_argument("--nu-l", dest="nu_l", type=float, default=0.49995)
-
-
-def _add_common(sp):
+def _add_flags(sp, **defaults):
+    """One flag per setting, its dest the setting's name, then --out and --config."""
+    for name, default in defaults.items():
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        sp.add_argument(flag, dest=name, type=_TYPES.get(name, parse_float), default=default)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--strict", action="store_true")
     sp.add_argument("--config", default=None)
 
 
@@ -189,71 +186,61 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("stability", help="scan the (p, nu) admissibility region")
-    sp.add_argument("--p-min", type=float, default=0.0)
-    sp.add_argument("--p-max", type=float, default=5.0)
-    sp.add_argument("--p-steps", type=int, default=200)
-    sp.add_argument("--nu-min", type=float, default=-1.0)
-    sp.add_argument("--nu-max", type=float, default=1.0)
-    sp.add_argument("--nu-steps", type=int, default=200)
-    sp.add_argument("--q", type=float, default=1.0)
-    _add_common(sp)
+    _add_flags(sp, p_min=0.0, p_max=5.0, p_steps=200, nu_min=-1.0, nu_max=1.0,
+               nu_steps=200, q=1.0)
     sp.set_defaults(func=cmd_stability)
 
     sp = sub.add_parser("material", help="print derived material parameters")
-    _add_material_flags(sp, 1.0)
-    sp.add_argument("--p", default="2")
-    _add_common(sp)
+    _add_flags(sp, E_t=1.0, q=1.0, nu_t=0.49995, nu_l=0.49995, p_list=(2.0,))
+    sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=cmd_material)
 
-    sp = sub.add_parser("cook", help="Cook's membrane tip-displacement sweep")
-    _add_material_flags(sp, 250.0)
-    sp.add_argument("--load", type=float, default=100.0)
-    sp.add_argument("--p", default="1.0001,2,5,10,100,10000")
-    sp.add_argument("--angles", default="pi/3")
-    sp.add_argument("--variants", default="")
-    sp.add_argument("--refine", default="16")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_cook)
-
-    sp = sub.add_parser("beam", help="bending beam convergence study")
-    _add_material_flags(sp, 1500.0)
-    sp.add_argument("--load", type=float, default=3000.0)
-    sp.add_argument("--length", type=float, default=10.0)
-    sp.add_argument("--height", type=float, default=2.0)
-    sp.add_argument("--p", default="1.0001,3,10000")
-    sp.add_argument("--angles", default="pi/4")
-    sp.add_argument("--variants", default="")
-    sp.add_argument("--refine", default="5,10,20,40")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_beam)
+    # The drivers are looked up here, at call time, so that a wrapper
+    # installed over the module's names is the one that runs.
+    for name, help_, config_class, run in (
+        ("cook", "Cook's membrane tip-displacement sweep", CookConfig, run_cook),
+        ("beam", "bending beam convergence study", BeamConfig, run_beam),
+    ):
+        sp = sub.add_parser(name, help=help_)
+        _add_flags(sp, **vars(config_class()))
+        sp.add_argument("--strict", action="store_true")
+        sp.set_defaults(func=cmd_sweep, config_class=config_class, run=run)
 
     return parser
 
 
-def _config_defaults(argv):
-    """Load the optional JSON config file; command-line flags override it."""
-    if "--config" not in argv:
-        return None
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return None
-    with open(argv[idx + 1], encoding="utf-8") as fh:
-        return json.load(fh)
+def _config_flags(parser, path):
+    """The JSON object in `path` as --key=value flags: keys are flag names with
+    _ for -, `true` sets a switch and `false` leaves it off."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        parser.error(f"cannot read config file: {err}")
+    if not isinstance(cfg, dict):
+        parser.error(f"config file {path}: expected a JSON object of flags")
+    flags = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            flags += [flag] if value else []
+        elif isinstance(value, (str, int, float)):
+            flags.append(f"{flag}={value}")
+        else:
+            parser.error(f"config key {key!r}: expected a string, number or boolean")
+    return flags
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        cfg = _config_defaults(argv)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"cannot read config file: {err}", file=sys.stderr)
-        return 2
-    if cfg:
-        for action in parser._subparsers._group_actions[0].choices.values():
-            action.set_defaults(**cfg)
-    try:
         args = parser.parse_args(argv)
+        if args.config:
+            # The top-level parser takes no options, so argv[0] is the
+            # subcommand; flags after the file's come later and win.
+            argv[1:1] = _config_flags(parser, args.config)
+            args = parser.parse_args(argv)
     except SystemExit as err:
         return err.code if err.code else 0
     try:

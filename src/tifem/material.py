@@ -74,7 +74,7 @@ class FibreFrame:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         n = np.linalg.norm(a)
-        if abs(n - 1.0) > 1e-14:
+        if not abs(n - 1.0) <= 1e-14:
             raise ValueError(f"fibre direction must be a unit vector, |a| = {n}")
         object.__setattr__(self, "a", tuple(a))
 

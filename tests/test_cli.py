@@ -1,16 +1,18 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from tifem.cli import (
+    build_parser,
     main,
     parse_angle,
     parse_angles,
     parse_variants,
     stability_grid,
 )
-from tifem.benchmarks import CSV_HEADER, DEFAULT_ANGLES
+from tifem.benchmarks import CSV_HEADER, DEFAULT_ANGLES, BeamConfig, CookConfig
 
 
 class TestParsing:
@@ -153,6 +155,12 @@ class TestCookCommand:
         assert code == 2
         assert "inadmissible" in capsys.readouterr().err
 
+    def test_strict_uses_the_commands_Et(self, capsys):
+        code = main(["cook", "--Et", "-250", "--strict", "--p", "2", "--refine", "2",
+                     "--variants", "Q1_CG"])
+        assert code == 2
+        assert "inadmissible" in capsys.readouterr().err
+
 
 class TestBeamCommand:
     def test_q2_high_accuracy(self, tmp_path):
@@ -215,6 +223,43 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert main(["cook", "--config", str(cfg)]) == 2
 
+    def test_equals_form(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "2", "refine": "2", "variants": "Q1_CG"}))
+        out = tmp_path / "cook.csv"
+        assert main(["cook", f"--config={cfg}", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_top_level_must_be_object(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[2, 3]")
+        assert main(["cook", "--config", str(cfg)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_numbers_and_booleans_read_as_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 2, "refine": 2, "nu_t": 0.3, "variants": "Q1_CG",
+                                   "strict": False}))
+        outs = [tmp_path / "file.csv", tmp_path / "flags.csv"]
+        assert main(["cook", "--config", str(cfg), "--out", str(outs[0])]) == 0
+        assert main(["cook", "--p", "2", "--refine", "2", "--nu-t", "0.3",
+                     "--variants", "Q1_CG", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        cfg.write_text(json.dumps({"p": 0.5, "refine": 2, "variants": "Q1_CG",
+                                   "strict": True}))
+        assert main(["cook", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "content,named",
+        [({"frob": 1}, "--frob"), ({"p": None}, "'p'"), ({"p": [2, 3]}, "'p'")],
+        ids=["unknown-key", "null", "list"],
+    )
+    def test_bad_entry(self, tmp_path, capsys, content, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        assert main(["cook", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestArgparseErrors:
     def test_unknown_command(self, capsys):
@@ -229,3 +274,32 @@ class TestArgparseErrors:
         assert main(["cook", "--angles", "pie/3", "--p", "2", "--refine", "2",
                      "--variants", "Q1_CG"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cook", "--load", "nan"],
+            ["cook", "--Et=-inf"],
+            ["cook", "--p", "2,inf"],
+            ["cook", "--angles", "pi/0"],
+            ["cook", "--angles", "nan"],
+            ["cook", "--refine", "0"],
+            ["beam", "--height", "inf"],
+            ["beam", "--refine", "5,-1"],
+            ["material", "--q", "nan"],
+            ["stability", "--p-max", "inf"],
+            ["stability", "--nu-min", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_at_parse_time(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error: argument" in capsys.readouterr().err
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command,config", [("cook", CookConfig), ("beam", BeamConfig)])
+    def test_flags_default_to_config(self, command, config):
+        args = build_parser().parse_args([command])
+        for f in fields(config):
+            assert getattr(args, f.name) == getattr(config(), f.name), f.name

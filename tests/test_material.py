@@ -251,3 +251,14 @@ class TestErrorBoundConstant:
 
         assert c1(2.0) < c1(1.01)
         assert c1(1e6) > c1(10.0)
+
+
+class TestFibreFrame:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: FibreFrame((2.0, 0.0)), lambda: FibreFrame.from_angle(math.nan)],
+        ids=["non-unit", "nan-angle"],
+    )
+    def test_rejects_non_unit_direction(self, make):
+        with pytest.raises(ValueError):
+            make()
