@@ -34,7 +34,6 @@ class LinearSystem:
     load: np.ndarray
     mesh: object
     variant: FormulationVariant
-    material: object
     frame: object
     constrained: dict = field(default_factory=dict)  # dof -> prescribed value
 
@@ -47,9 +46,6 @@ class LinearSystem:
 class FieldSolution:
     mesh: object
     displacements: np.ndarray  # (2 * n_nodes,)
-    variant: FormulationVariant
-    material: object
-    frame: object
 
     def at_node(self, node):
         return self.displacements[2 * node : 2 * node + 2]
@@ -110,10 +106,7 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
             ds = np.hypot(tangent[..., 0], tangent[..., 1])
             _add_load(f, enodes, vals, wts_1d * ds, ecoords, spec)
 
-    return LinearSystem(
-        stiffness=K, load=f, mesh=mesh, variant=variant,
-        material=mp, frame=frame,
-    )
+    return LinearSystem(stiffness=K, load=f, mesh=mesh, variant=variant, frame=frame)
 
 
 def apply_dirichlet(system, bcs=None, node_constraints=()):
@@ -149,7 +142,7 @@ def solve(system):
     mask[cdofs] = False
     free = np.nonzero(mask)[0]
     if free.size == 0:
-        return FieldSolution(system.mesh, u, system.variant, system.material, system.frame)
+        return FieldSolution(system.mesh, u)
 
     K_f = system.stiffness[free]
     K_ff = K_f[:, free].tocsc()
@@ -183,7 +176,7 @@ def solve(system):
     if residual > 1e-10:
         raise SingularSystem(f"backward error {residual} exceeds 1e-10")
     u[free] = u_f
-    return FieldSolution(system.mesh, u, system.variant, system.material, system.frame)
+    return FieldSolution(system.mesh, u)
 
 
 def h1_error(solution, exact_u, exact_grad, relative=False):

@@ -7,14 +7,14 @@ to CSV.  Failed rows are kept with an error marker instead of being dropped.
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from . import material as mat
 from .assembly import apply_dirichlet, assemble, h1_error, solve
 from .elements import FormulationVariant
-from .mesh import cook_mesh, rectangle_mesh
+from .mesh import COOK_CORNERS, cook_mesh, rectangle_mesh
 
 
 class MissingReference(KeyError):
@@ -63,6 +63,7 @@ class BeamConfig:
 
 @dataclass(frozen=True)
 class ReportRow:
+    # Field order is the CSV column order (CSV_HEADER).
     variant: str
     p: float
     q: float
@@ -123,17 +124,7 @@ class ErrorReport:
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
         for r in self.rows:
-            buf.write(
-                ",".join(
-                    fmt(v)
-                    for v in (
-                        r.variant, r.p, r.q, r.nu_t, r.nu_l, r.angle, r.refine,
-                        r.h, r.dofs, r.tip_u, r.tip_v, r.h1_error, r.l2_error,
-                        r.rate, r.status,
-                    )
-                )
-                + "\n"
-            )
+            buf.write(",".join(map(fmt, astuple(r))) + "\n")
         return buf.getvalue()
 
     @property
@@ -195,7 +186,7 @@ def run_cook(cfg):
     uniform vertical shear on the right edge with resultant cfg.f."""
 
     def solve_row(mesh, mp, frame, variant):
-        edge_len = 60.0 - 44.0
+        edge_len = COOK_CORNERS[2, 1] - COOK_CORNERS[1, 1]
         system = assemble(
             mesh, mp, frame, variant,
             tractions={"right": (0.0, cfg.f / edge_len)},

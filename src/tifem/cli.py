@@ -130,10 +130,10 @@ def cmd_material(args):
         verdict = mat.check_stability(ec)
         try:
             mp = mat.derive_parameters(ec)
-        except mat.DegenerateDenominator as err:
+            c1 = mat.error_bound_constant(mp)
+        except ValueError as err:  # DegenerateDenominator, or mu_t <= 0
             print(str(err), file=sys.stderr)
             return 3
-        c1 = mat.error_bound_constant(mp)
         lines.append(
             ",".join(
                 [
@@ -185,12 +185,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("stability", help="scan the (p, nu) admissibility region")
+    sp = sub.add_parser("stability", allow_abbrev=False,
+                        help="scan the (p, nu) admissibility region")
     _add_flags(sp, p_min=0.0, p_max=5.0, p_steps=200, nu_min=-1.0, nu_max=1.0,
                nu_steps=200, q=1.0)
     sp.set_defaults(func=cmd_stability)
 
-    sp = sub.add_parser("material", help="print derived material parameters")
+    sp = sub.add_parser("material", allow_abbrev=False, help="print derived material parameters")
     _add_flags(sp, E_t=1.0, q=1.0, nu_t=0.49995, nu_l=0.49995, p_list=(2.0,))
     sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=cmd_material)
@@ -201,7 +202,7 @@ def build_parser():
         ("cook", "Cook's membrane tip-displacement sweep", CookConfig, run_cook),
         ("beam", "bending beam convergence study", BeamConfig, run_beam),
     ):
-        sp = sub.add_parser(name, help=help_)
+        sp = sub.add_parser(name, allow_abbrev=False, help=help_)
         _add_flags(sp, **vars(config_class()))
         sp.add_argument("--strict", action="store_true")
         sp.set_defaults(func=cmd_sweep, config_class=config_class, run=run)

@@ -106,12 +106,11 @@ ALL_CONDITIONS = (
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    admissible: bool
     violated: tuple = ()
-    discriminant: float | None = None
 
-    def __post_init__(self):
-        assert self.admissible == (len(self.violated) == 0)
+    @property
+    def admissible(self):
+        return not self.violated
 
 
 def derive_parameters(ec):
@@ -122,8 +121,6 @@ def derive_parameters(ec):
     on the stability boundary.
     """
     p, q, nu_t, nu_l, E_t = ec.p, ec.q, ec.nu_t, ec.nu_l, ec.E_t
-    mu_t = E_t / (2.0 * (1.0 + nu_t))
-    mu_l = q * mu_t
     d = (1.0 + nu_t) * ((1.0 - nu_t) * p - 2.0 * nu_l**2)
     if abs(d) < 1e-14 * max(1.0, abs(p)):
         raise DegenerateDenominator(
@@ -136,7 +133,7 @@ def derive_parameters(ec):
         + (-2.0 * nu_t * nu_l + 2.0 * q * nu_t - 2.0 * nu_l + 1.0 - 2.0 * q) * p
         - (1.0 - 4.0 * q) * nu_l**2
     ) / d * E_t
-    return MaterialParameters(lam=lam, mu_t=mu_t, mu_l=mu_l, alpha=alpha, beta=beta)
+    return MaterialParameters(lam=lam, mu_t=ec.mu_t, mu_l=ec.mu_l, alpha=alpha, beta=beta)
 
 
 def check_stability(ec):
@@ -148,12 +145,12 @@ def check_stability(ec):
     """
     vals = (ec.E_t, ec.p, ec.q, ec.nu_t, ec.nu_l)
     if any(math.isnan(v) for v in vals):
-        return StabilityVerdict(False, ALL_CONDITIONS, None)
+        return StabilityVerdict(ALL_CONDITIONS)
 
     violated = []
     if not ec.p > 0.0:
         violated.append(COND_P_POSITIVE)
-    mu_t = ec.E_t / (2.0 * (1.0 + ec.nu_t)) if ec.nu_t != -1.0 else math.inf
+    mu_t = ec.mu_t if ec.nu_t != -1.0 else math.inf
     if not (ec.q * mu_t >= mu_t > 0.0):
         violated.append(COND_SHEAR_ORDERING)
     if not ec.nu_t > -1.0:
@@ -162,16 +159,7 @@ def check_stability(ec):
         violated.append(COND_DISCRIMINANT)
     if not (1.0 - ec.nu_t) * ec.p - 2.0 * ec.nu_l**2 > 0.0:
         violated.append(COND_DENOMINATOR)
-
-    disc = None
-    try:
-        mp = derive_parameters(ec)
-        disc = 4.0 * (
-            mp.alpha**2 - (mp.lam + 2.0 * mp.mu_t / 3.0) * (mp.beta + 2.0 * mp.gamma)
-        )
-    except DegenerateDenominator:
-        pass
-    return StabilityVerdict(not violated, tuple(violated), disc)
+    return StabilityVerdict(tuple(violated))
 
 
 def stiffness_apply(mp, frame, eps):

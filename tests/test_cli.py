@@ -80,6 +80,15 @@ class TestStabilityCommand:
         assert not verdict_at(1.0, 0.6)  # discriminant condition fails
         assert not verdict_at(0.5, -2.0)  # nu_t bound fails
 
+    def test_nu_t_bound_is_a_verdict(self, capsys):
+        # the single nu cell is centred on nu_t = -1
+        argv = ["stability", "--nu-min", "-1.5", "--nu-max", "-0.5", "--nu-steps", "1",
+                "--p-steps", "2"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        assert all(r.split(",")[2] == "0" and "nu_t_bound" in r for r in rows)
+
     def test_malformed_grid(self, capsys):
         assert main(["stability", "--p-steps", "0"]) == 2
         assert "malformed" in capsys.readouterr().err
@@ -116,6 +125,12 @@ class TestMaterialCommand:
     def test_degenerate_denominator(self, capsys):
         code = main(["material", "--p", "1", "--nu-t", "0.5", "--nu-l", "0.5"])
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--Et", "--nu-t"])
+    def test_material_fault_exits_3(self, flag, capsys):
+        # --Et -1 makes mu_t negative; --nu-t -1 zeroes the parameter denominator
+        assert main(["material", flag, "-1"]) == 3
+        assert capsys.readouterr().err.strip()
 
     def test_non_strict_flags_inadmissible_row(self, capsys):
         code = main(["material", "--p", "0.5", "--nu-t", "0.3", "--nu-l", "0.3"])
@@ -251,8 +266,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "content,named",
-        [({"frob": 1}, "--frob"), ({"p": None}, "'p'"), ({"p": [2, 3]}, "'p'")],
-        ids=["unknown-key", "null", "list"],
+        [({"frob": 1}, "--frob"), ({"p": None}, "'p'"), ({"p": [2, 3]}, "'p'"),
+         ({"refin": 2}, "--refin")],
+        ids=["unknown-key", "null", "list", "prefix-of-a-flag"],
     )
     def test_bad_entry(self, tmp_path, capsys, content, named):
         cfg = tmp_path / "cfg.json"
@@ -269,6 +285,10 @@ class TestArgparseErrors:
     def test_bad_float(self, capsys):
         assert main(["cook", "--load", "abc"]) == 2
         capsys.readouterr()
+
+    def test_abbreviated_flag(self, capsys):
+        assert main(["cook", "--refin", "2"]) == 2
+        assert "--refin" in capsys.readouterr().err
 
     def test_bad_angle_token(self, capsys):
         assert main(["cook", "--angles", "pie/3", "--p", "2", "--refine", "2",

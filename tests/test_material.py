@@ -70,6 +70,11 @@ class TestDeriveParameters:
         with pytest.raises(DegenerateDenominator):
             derive_parameters(EngineeringConstants(1.0, 1.0, 1.0, 0.5, 0.5))
 
+    def test_nu_t_minus_one_is_degenerate(self):
+        # 1 + nu_t is a factor of the shared denominator (and of mu_t's)
+        with pytest.raises(DegenerateDenominator):
+            derive_parameters(EngineeringConstants(1.0, 2.0, 1.0, -1.0, 0.3))
+
 
 class TestStability:
     def test_near_boundary_examples(self):
@@ -89,6 +94,23 @@ class TestStability:
         verdict = check_stability(EngineeringConstants(1.0, float("nan"), 1.0, 0.3, 0.3))
         assert not verdict.admissible
         assert len(verdict.violated) == 5
+
+    @pytest.mark.parametrize(
+        "ec,violated",
+        [
+            (EngineeringConstants(1.0, 2.0, 1.0, -1.0, 0.3), ("nu_t_bound", "discriminant")),
+            (EngineeringConstants(1.0, 2.0, 1.0, -1.5, 0.3),
+             ("shear_ordering", "nu_t_bound", "discriminant")),
+            (EngineeringConstants(-1.0, 2.0, 1.0, 0.3, 0.3), ("shear_ordering",)),
+            (EngineeringConstants(0.0, 2.0, 1.0, 0.3, 0.3), ("shear_ordering",)),
+            (EngineeringConstants(1.0, 2.0, 0.5, 0.3, 0.3), ("shear_ordering",)),
+        ],
+        ids=["nu_t=-1", "nu_t<-1", "E_t<0", "E_t=0", "q<1"],
+    )
+    def test_violated_at_the_edges(self, ec, violated):
+        verdict = check_stability(ec)
+        assert verdict.violated == violated
+        assert not verdict.admissible
 
     def test_scale_invariance(self, rng):
         for _ in range(20):
