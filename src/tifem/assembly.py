@@ -4,20 +4,24 @@ Degrees of freedom are interleaved: node i owns dofs (2i, 2i+1) for the
 x and y displacement components.  Dirichlet constraints are handled by
 symmetric elimination at solve time; the assembled matrix always covers
 all dofs.
+
+Field functions (body force, tractions, Dirichlet data, exact solutions) are
+called once each as func(x, y) on coordinate arrays of quadrature points
+(E, q) or boundary nodes (n,).  They return nested components, (u, v) or
+((ux, uy), (vx, vy)), as tuples, lists or leading axes of an array ending in
+x's axes; each is a scalar or broadcasts to x.shape.  A constant stands for
+its value.  Components not nested to the expected shape raise ValueError.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import (
-    FormulationVariant,
-    edge_shape_functions,
-    element_stiffness,
-    geometry,
-)
+from .elements import FormulationVariant, edge_shape_functions, element_stiffness, geometry
 
 
 class UnknownBoundaryTag(KeyError):
@@ -51,14 +55,22 @@ class FieldSolution:
         return self.displacements[2 * node : 2 * node + 2]
 
 
-def _at_points(func, points, shape):
-    """Evaluate func(x, y), or a constant, at points (E, q, 2) into (E, q) + shape."""
-    if not callable(func):
-        return np.broadcast_to(np.asarray(func, dtype=float), points.shape[:2] + shape)
-    out = np.empty((points.shape[0] * points.shape[1],) + shape)
-    for i, (x, y) in enumerate(points.reshape(-1, 2).tolist()):
-        out[i] = func(x, y)
-    return out.reshape(points.shape[:2] + shape)
+def _at_points(func, x, y, shape):
+    """Evaluate a field function, or a constant, on x, y into x.shape + shape."""
+    val = func(x, y) if callable(func) else func
+    if (got := _layout(val, x.ndim)) != shape:
+        raise ValueError(f"field components have shape {got}, expected {shape}")
+    comps = [np.broadcast_to(reduce(getitem, i, val), x.shape) for i in np.ndindex(shape)]
+    return np.stack(comps, axis=-1, dtype=float).reshape(x.shape + shape)
+
+
+def _layout(val, ndim):
+    """Component shape of val, whose arrays end in ndim point axes, or "ragged"."""
+    if isinstance(val, (tuple, list)):
+        sub = {_layout(v, ndim) for v in val}
+        return (len(val),) + sub.pop() if len(sub) == 1 and "ragged" not in sub else "ragged"
+    s = np.shape(val)
+    return s[: len(s) - ndim] if len(s) >= ndim else s
 
 
 def _add_load(f, conn, vals, wmeas, coords, spec):
@@ -67,14 +79,19 @@ def _add_load(f, conn, vals, wmeas, coords, spec):
     conn (E, n) node indices, vals (q, n) shape values, wmeas (E, q) weight
     times measure, coords (E, n, 2).
     """
-    t = _at_points(spec, np.einsum("qn,eni->eqi", vals, coords), (2,))
+    x, y = np.einsum("qn,eni->ieq", vals, coords)
+    t = _at_points(spec, x, y, (2,))
     fe = np.einsum("qn,eq,eqi->eni", vals, wmeas, t)
     np.add.at(f, 2 * conn, fe[..., 0])
     np.add.at(f, 2 * conn + 1, fe[..., 1])
 
 
 def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
-    """Assemble the global stiffness and load for one formulation variant."""
+    """Assemble the global stiffness and load for one formulation variant.
+
+    body_force and each tractions[tag] are field functions or constants with
+    components (fx, fy); each is called once (see the module docstring).
+    """
     if variant.order != mesh.order:
         raise ValueError(f"{variant.value} needs an order-{variant.order} mesh")
     ndof = 2 * mesh.n_nodes
@@ -112,20 +129,22 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
 def apply_dirichlet(system, bcs=None, node_constraints=()):
     """Record Dirichlet constraints on the system.
 
-    bcs: tag -> callable (x, y) -> (gx, gy); a component returned as None is
-    left free.  node_constraints: iterable of (node, component, value) for
-    pointwise pins.  Returns the same system with `constrained` populated.
+    bcs: tag -> field function, called once on the tag's nodes, returning
+    exactly (gx, gy); a component returned as None is left free.
+    node_constraints: iterable of (node, component, value) for pointwise
+    pins.  Returns the same system with `constrained` populated.
     """
     mesh = system.mesh
     for tag, func in (bcs or {}).items():
         if tag not in mesh.boundary_nodes:
             raise UnknownBoundaryTag(tag)
-        for node in mesh.boundary_nodes[tag]:
-            gx, gy = func(*mesh.nodes[node])
-            if gx is not None:
-                system.constrained[2 * node] = float(gx)
-            if gy is not None:
-                system.constrained[2 * node + 1] = float(gy)
+        nodes = np.array(mesh.boundary_nodes[tag], dtype=int)
+        x, y = mesh.nodes[nodes].T
+        gx, gy = func(x, y)
+        for comp, g in enumerate((gx, gy)):
+            if g is not None:
+                dofs = (2 * nodes + comp).tolist()
+                system.constrained.update(zip(dofs, _at_points(g, x, y, ()).tolist()))
     for node, comp, value in node_constraints:
         system.constrained[2 * node + comp] = float(value)
     return system
@@ -182,7 +201,8 @@ def solve(system):
 def h1_error(solution, exact_u, exact_grad, relative=False):
     """Full H1 and L2 errors against exact displacement and gradient fields.
 
-    exact_u(x, y) -> (u, v); exact_grad(x, y) -> 2x2 array du_i/dx_j.
+    exact_u -> (u, v) and exact_grad -> ((ux, uy), (vx, vy)), du_i/dx_j, are
+    field functions or constants, each called once on all quadrature points.
     Quadrature is two orders above the element order.  With relative=True
     both errors are normalized by the corresponding norms of the exact field.
     """
@@ -191,11 +211,11 @@ def h1_error(solution, exact_u, exact_grad, relative=False):
     coords = mesh.nodes[conn]
     vals, dN, wdet = geometry(coords, mesh.order, mesh.order + 2)
     ue = solution.displacements.reshape(-1, 2)[conn]           # (E, n, 2)
-    points = np.einsum("qn,eni->eqi", vals, coords)
+    x, y = np.einsum("qn,eni->ieq", vals, coords)
     uh = np.einsum("qn,eni->eqi", vals, ue)
     Gh = np.einsum("eni,eqnj->eqij", ue, dN)                   # du_i/dx_j
-    ux = _at_points(exact_u, points, (2,))
-    Gx = _at_points(exact_grad, points, (2, 2))
+    ux = _at_points(exact_u, x, y, (2,))
+    Gx = _at_points(exact_grad, x, y, (2, 2))
     l2_sq = np.sum(wdet * np.sum((uh - ux) ** 2, axis=-1))
     grad_sq = np.sum(wdet * np.sum((Gh - Gx) ** 2, axis=(-2, -1)))
     exact_l2_sq = np.sum(wdet * np.sum(ux**2, axis=-1))

@@ -98,12 +98,9 @@ class ErrorReport:
             if (
                 prev is not None
                 and (prev.variant, prev.p, prev.angle) == (row.variant, row.p, row.angle)
-                and prev.h1_error is not None
-                and row.h1_error is not None
-                and prev.h1_error > 0
-                and row.h1_error > 0
-                and prev.h is not None
-                and row.h is not None
+                and (prev.h1_error or 0) > 0
+                and (row.h1_error or 0) > 0
+                and None not in (prev.h, row.h)
                 and prev.h != row.h
             ):
                 rate = math.log(prev.h1_error / row.h1_error) / math.log(prev.h / row.h)
@@ -132,15 +129,8 @@ class ErrorReport:
         return all(r.status == "ok" for r in self.rows)
 
     def find(self, variant, p, angle, refine):
-        for r in self.rows:
-            if (
-                r.variant == variant
-                and r.p == p
-                and r.angle == angle
-                and r.refine == refine
-            ):
-                return r
-        return None
+        key = (variant, p, angle, refine)
+        return next((r for r in self.rows if (r.variant, r.p, r.angle, r.refine) == key), None)
 
 
 def _sweep(cfg, make_mesh, solve_row):
@@ -201,8 +191,8 @@ def run_cook(cfg):
 def beam_exact(cfg, mp, frame):
     """Closed-form bending solution and its gradient for the beam problem.
 
-    Returns (u_func, grad_func) with u_func(x, y) -> (u, v) and
-    grad_func(x, y) -> 2x2 array of du_i/dx_j.
+    Returns field functions of scalar or array x, y: u_func(x, y) -> (u, v)
+    and grad_func(x, y) -> ((du/dx, du/dy), (dv/dx, dv/dy)).
     """
     S = mat.plane_strain_compliance(mp, frame)
     s11, s21, s31 = S[0, 0], S[1, 0], S[2, 0]
@@ -215,11 +205,9 @@ def beam_exact(cfg, mp, frame):
         return u, v
 
     def grad_func(x, y):
-        return np.array(
-            [
-                [-2.0 * c * s11 * y, -2.0 * c * (s11 * x + s31 * y)],
-                [2.0 * c * s11 * x, -2.0 * c * s21 * y],
-            ]
+        return (
+            (-2.0 * c * s11 * y, -2.0 * c * (s11 * x + s31 * y)),
+            (2.0 * c * s11 * x, -2.0 * c * s21 * y),
         )
 
     return u_func, grad_func
@@ -246,9 +234,7 @@ def run_beam(cfg):
     """
 
     def bottom_node(mesh, x):
-        return int(
-            np.argmin(np.abs(mesh.nodes[:, 0] - x) + np.abs(mesh.nodes[:, 1] + cfg.H / 2.0))
-        )
+        return int(np.argmin(np.abs(mesh.nodes - (x, -cfg.H / 2)).sum(axis=1)))
 
     def solve_row(mesh, mp, frame, variant):
         g = beam_edge_profile(cfg, mp, frame)
@@ -308,11 +294,7 @@ def locking_diagnostic(report, reference_variant, threshold=0.9):
         if key not in refs:
             raise MissingReference(f"no {ref_name} row for (p, angle, refine) = {key}")
         ref_tip = refs[key].tip_v
-        if ref_tip == 0.0:
-            ratio = None
-            locked = False
-        else:
-            ratio = r.tip_v / ref_tip
-            locked = ratio < threshold
+        ratio = r.tip_v / ref_tip if ref_tip != 0.0 else None
+        locked = ratio is not None and ratio < threshold
         out.append(LockingRow(r.variant, r.p, r.angle, r.refine, ratio, locked))
     return out

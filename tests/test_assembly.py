@@ -197,7 +197,7 @@ class TestH1Error:
             system, {tag: lambda x, y: (0.0, 0.0) for tag in ("left", "right")}
         )
         sol = solve(system)
-        h1, l2 = h1_error(sol, lambda x, y: (0.0, 0.0), lambda x, y: np.zeros((2, 2)))
+        h1, l2 = h1_error(sol, lambda x, y: (0.0, 0.0), lambda x, y: ((0.0, 0.0), (0.0, 0.0)))
         assert h1 == 0.0
         assert l2 == 0.0
 
@@ -205,7 +205,7 @@ class TestH1Error:
         mesh = rectangle_mesh(1.0, 1.0, 2, 2, order=1)
         system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG)
         exact = lambda x, y: (x * x, 0.0)
-        grad = lambda x, y: np.array([[2 * x, 0.0], [0.0, 0.0]])
+        grad = lambda x, y: ((2 * x, 0.0), (0.0, 0.0))
         apply_dirichlet(
             system,
             {tag: lambda x, y: (x * x, 0.0) for tag in ("left", "right", "top", "bottom")},
@@ -226,9 +226,80 @@ class TestH1Error:
              ("left", "right", "top", "bottom")},
         )
         sol = solve(system)
-        grad = lambda x, y: np.array([[0.1, 0.2], [-0.3, 0.0]])
-        h1, _ = h1_error(sol, lambda x, y: (0.1 * x + 0.2 * y, -0.3 * x), grad)
+        h1, _ = h1_error(sol, lambda x, y: (0.1 * x + 0.2 * y, -0.3 * x), ((0.1, 0.2), (-0.3, 0.0)))
         assert h1 < 1e-12
+
+
+class TestFieldFunctions:
+    """Every field is called once on coordinate arrays and shape-checked."""
+
+    @staticmethod
+    def counted(func, calls, name):
+        def wrapper(x, y):
+            calls.append((name, x.shape))
+            return func(x, y)
+        return wrapper
+
+    def test_each_field_called_once(self):
+        mesh = rectangle_mesh(2.0, 1.0, 3, 2, order=2)
+        calls = []
+        system = assemble(
+            mesh, MP_ISO, FRAME0, V.Q2_CG,
+            body_force=self.counted(lambda x, y: (0.0, -x), calls, "body"),
+            tractions={tag: self.counted(lambda x, y: (y, 1.0), calls, tag)
+                       for tag in ("right", "top")},
+        )
+        apply_dirichlet(system, {
+            "left": self.counted(lambda x, y: (0.0, 0.0), calls, "left"),
+            "bottom": self.counted(lambda x, y: (None, 0.1 * x), calls, "bottom"),
+        })
+        sol = solve(system)
+        h1_error(sol, self.counted(lambda x, y: (x, y), calls, "u"),
+                 self.counted(lambda x, y: ((1.0, 0.0), (0.0, 1.0)), calls, "grad"))
+        assert calls == [
+            ("body", (6, 9)), ("right", (2, 3)), ("top", (3, 3)),
+            ("left", (5,)), ("bottom", (7,)), ("u", (6, 16)), ("grad", (6, 16)),
+        ]
+        bottom = np.array(mesh.boundary_nodes["bottom"])
+        assert np.array_equal(sol.displacements[2 * bottom + 1], 0.1 * mesh.nodes[bottom, 0])
+
+    def test_stacked_array_equals_nested_tuple(self):
+        mesh = rectangle_mesh(2.0, 1.0, 3, 2, order=1)
+        loads = [
+            assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, body_force=f, tractions={"right": f}).load
+            for f in (lambda x, y: (x * y, 2.0 + 0 * x), lambda x, y: np.stack([x * y, 2.0 + 0 * x]))
+        ]
+        assert np.array_equal(loads[0], loads[1])
+
+    @pytest.mark.parametrize("ny", [1, 2])  # one row of 2 elements: E == 2 components
+    @pytest.mark.parametrize("grad", [lambda x, y: (2 * x, 0.0), (0.0, 0.0)], ids=["callable", "constant"])
+    def test_gradient_with_two_components_is_rejected(self, ny, grad):
+        mesh = rectangle_mesh(2.0, 1.0, 2, ny, order=1)
+        sol = solve(apply_dirichlet(
+            assemble(mesh, MP_ISO, FRAME0, V.Q1_CG),
+            {tag: lambda x, y: (0.0, 0.0) for tag in ("left", "right")},
+        ))
+        with pytest.raises(ValueError, match=r"shape \(2,\), expected \(2, 2\)"):
+            h1_error(sol, lambda x, y: (0.0, 0.0), grad)
+
+    @pytest.mark.parametrize("kind", ["traction", "body_force"])
+    @pytest.mark.parametrize("spec", [(1.0, 0.0, 0.0), lambda x, y: (x, 0.0, y)],
+                             ids=["constant", "callable"])
+    def test_three_component_load_is_rejected(self, kind, spec):
+        mesh = rectangle_mesh(2.0, 1.0, 2, 2, order=1)
+        loads = {"tractions": {"right": spec}} if kind == "traction" else {"body_force": spec}
+        with pytest.raises(ValueError, match=r"shape \(3,\), expected \(2,\)"):
+            assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, **loads)
+
+    @pytest.mark.parametrize("func", [lambda x, y: (0.0, 0.0, 0.0),
+                                      lambda x, y: (np.stack([x, y]), None)],
+                             ids=["three-components", "stacked-component"])
+    def test_malformed_dirichlet_is_rejected(self, func):
+        mesh = rectangle_mesh(2.0, 1.0, 2, 2, order=1)
+        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG)
+        with pytest.raises(ValueError):
+            apply_dirichlet(system, {"left": func})
+        assert system.constrained == {}
 
 
 class TestFrameInvariance:

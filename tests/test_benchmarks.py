@@ -70,12 +70,26 @@ class TestBeamExact:
         _, grad_func = beam_exact(cfg, mp, frame)
         C = plane_strain_stiffness(mp, frame)
         for x, y in [(2.0, 0.5), (7.0, -0.4)]:
-            G = grad_func(x, y)
+            G = np.array(grad_func(x, y))
             eps = np.array([G[0, 0], G[1, 1], G[0, 1] + G[1, 0]])
             sigma = C @ eps
             expected = np.array([-2.0 * cfg.f / cfg.H * y, 0.0, 0.0])
             scale = np.abs(expected).max() + cfg.f
             assert np.abs(sigma - expected).max() < 1e-9 * scale
+
+    def test_array_evaluation_matches_scalar(self, rng):
+        # one call on an (E, q) grid gives the same bits as one call per point
+        cfg = BeamConfig()
+        mp = beam_material(cfg, 1.0001)
+        u_func, grad_func = beam_exact(cfg, mp, FibreFrame.from_angle(math.pi / 3))
+        x = rng.uniform(0.0, cfg.L, (5, 9))
+        y = rng.uniform(-cfg.H / 2, cfg.H / 2, (5, 9))
+        U, G = np.array(u_func(x, y)), np.array(grad_func(x, y))
+        assert U.shape == (2, 5, 9) and G.shape == (2, 2, 5, 9)
+        for e, q in np.ndindex(x.shape):
+            xi, yi = float(x[e, q]), float(y[e, q])
+            assert np.array_equal(U[:, e, q], np.array(u_func(xi, yi)))
+            assert np.array_equal(G[:, :, e, q], np.array(grad_func(xi, yi)))
 
 
 @pytest.fixture(scope="module")
