@@ -132,9 +132,10 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
     bcs: tag -> field function, called once on the tag's nodes, returning
     exactly (gx, gy); a component returned as None is left free.
     node_constraints: iterable of (node, component, value) for pointwise
-    pins.  Returns the same system with `constrained` populated.
+    pins.  Returns the system, its `constrained` updated only if all evaluate.
     """
     mesh = system.mesh
+    constrained = {}
     for tag, func in (bcs or {}).items():
         if tag not in mesh.boundary_nodes:
             raise UnknownBoundaryTag(tag)
@@ -144,14 +145,18 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
         for comp, g in enumerate((gx, gy)):
             if g is not None:
                 dofs = (2 * nodes + comp).tolist()
-                system.constrained.update(zip(dofs, _at_points(g, x, y, ()).tolist()))
+                constrained.update(zip(dofs, _at_points(g, x, y, ()).tolist()))
     for node, comp, value in node_constraints:
-        system.constrained[2 * node + comp] = float(value)
+        constrained[2 * node + comp] = float(value)
+    system.constrained.update(constrained)
     return system
 
 
 def solve(system):
-    """Direct sparse solve with symmetric elimination of constrained dofs."""
+    """Direct sparse solve with symmetric elimination of constrained dofs.
+
+    K_ff should be SPD: splu orders K + K^T by minimum degree and pivots on the diagonal.
+    Other input raises SingularSystem or returns a solution the checks below verified."""
     ndof = system.n_dofs
     u = np.zeros(ndof)
     cdofs = np.array(sorted(system.constrained), dtype=np.int64)
@@ -170,7 +175,8 @@ def solve(system):
         rhs = rhs - K_f[:, cdofs] @ cvals
     del K_f  # release the full-width rows before the factors are allocated
     try:
-        lu = spla.splu(K_ff)
+        lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
         u_f = lu.solve(rhs)
     except RuntimeError as err:
         raise SingularSystem(str(err)) from err

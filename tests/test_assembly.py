@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tifem import (
     FibreFrame,
     FormulationVariant,
+    LinearSystem,
     MaterialParameters,
     NonPositiveJacobian,
     SingularSystem,
@@ -174,6 +176,49 @@ class TestDirichletAndSolve:
         assert np.allclose(sol.displacements[0::2], mesh.nodes[:, 0], atol=1e-12)
         assert np.allclose(sol.displacements[1::2], 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("K", [
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1e-12, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]],
+    ], ids=["zero-diagonal", "singular", "indefinite-badly-scaled"])
+    def test_non_spd_input_is_rejected_or_solved(self, K):
+        # solve expects SPD; anything else must raise or be solved correctly
+        K = np.array(K)
+        load = np.arange(1.0, K.shape[0] + 1)
+        system = LinearSystem(sp.csr_matrix(K), load, None, V.Q1_CG, FRAME0)
+        try:
+            u = solve(system).displacements
+        except SingularSystem:
+            return
+        u_oracle = np.linalg.solve(K, load)
+        assert np.abs(u - u_oracle).max() <= 1e-12 * np.abs(u_oracle).max()
+
+    def test_single_pinned_node_is_singular(self):
+        mesh = rectangle_mesh(2.0, 1.0, 2, 2, order=1)
+        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, tractions={"right": (1.0, 0.5)})
+        apply_dirichlet(system, node_constraints=[(0, 0, 0.0), (0, 1, 0.0)])
+        with pytest.raises(SingularSystem):
+            solve(system)
+
+    @pytest.mark.parametrize("variant", list(V))
+    @pytest.mark.parametrize("p, nu", [(1.0001, 0.49995), (1e5, 0.49999)])
+    def test_distorted_mesh_against_dense_oracle(self, variant, p, nu):
+        mesh = cook_mesh(3, variant.order)
+        mp = derive_parameters(EngineeringConstants(250.0, p, 1.0, nu, nu))
+        system = assemble(mesh, mp, FibreFrame.from_angle(math.pi / 3), variant,
+                          tractions={"right": (0.0, 6.25)})
+        apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
+        sol = solve(system)
+        free = np.setdiff1d(np.arange(system.n_dofs), list(system.constrained))
+        K_ff = system.stiffness.toarray()[np.ix_(free, free)]
+        u_oracle = np.linalg.solve(K_ff, system.load[free])
+        # Both solves are backward stable, so each is accurate only to about
+        # eps * cond(K_ff); at p = 1e5 that is up to 8e-9 here, and the dense
+        # solve alone then misses the exact answer by more than 1e-10.
+        tol = np.finfo(float).eps * np.linalg.cond(K_ff)
+        dev = np.linalg.norm(sol.displacements[free] - u_oracle)
+        assert dev <= tol * np.linalg.norm(u_oracle)
+
     def test_solver_determinism(self, rng):
         ec = sample_admissible(rng)
         mp = derive_parameters(ec)
@@ -299,6 +344,20 @@ class TestFieldFunctions:
         system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG)
         with pytest.raises(ValueError):
             apply_dirichlet(system, {"left": func})
+        assert system.constrained == {}
+
+    def test_malformed_later_tag_leaves_system_unconstrained(self):
+        mesh = rectangle_mesh(2.0, 1.0, 2, 2, order=1)
+        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG)
+        bcs = {"left": lambda x, y: (0.0, 0.0), "right": lambda x, y: (0.0, 0.0, 0.0)}
+        with pytest.raises(ValueError):
+            apply_dirichlet(system, bcs)
+        assert system.constrained == {}
+        with pytest.raises(UnknownBoundaryTag):
+            apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0), "front": (0.0, 0.0)})
+        assert system.constrained == {}
+        with pytest.raises(ValueError):
+            apply_dirichlet(system, {"left": bcs["left"]}, node_constraints=[(0, 0, "free")])
         assert system.constrained == {}
 
 
