@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import FormulationVariant, edge_shape_functions, element_stiffness, geometry
+from .elements import FormulationVariant, _lagrange_1d, element_stiffness, geometry
 
 
 class UnknownBoundaryTag(KeyError):
@@ -113,11 +113,11 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
     if tractions:
         # edge rule with order + 1 points (exact for the traction data used here)
         pts_1d, wts_1d = np.polynomial.legendre.leggauss(mesh.order + 1)
-        vals, ders = map(np.array, zip(*(edge_shape_functions(mesh.order, t) for t in pts_1d)))
+        vals, ders = _lagrange_1d(mesh.order, pts_1d)
         for tag, spec in tractions.items():
             if tag not in mesh.boundary_edges:
                 raise UnknownBoundaryTag(tag)
-            enodes = np.array([mesh.edge_nodes(*pair) for pair in mesh.boundary_edges[tag]])
+            enodes = mesh.edge_nodes(*np.transpose(mesh.boundary_edges[tag]))
             ecoords = mesh.nodes[enodes]
             tangent = np.einsum("qn,eni->eqi", ders, ecoords)
             ds = np.hypot(tangent[..., 0], tangent[..., 1])
@@ -129,10 +129,11 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
 def apply_dirichlet(system, bcs=None, node_constraints=()):
     """Record Dirichlet constraints on the system.
 
-    bcs: tag -> field function, called once on the tag's nodes, returning
-    exactly (gx, gy); a component returned as None is left free.
+    bcs: tag -> field function or constant, called once on the tag's nodes,
+    giving exactly (gx, gy); a component given as None is left free.
     node_constraints: iterable of (node, component, value) for pointwise
-    pins.  Returns the system, its `constrained` updated only if all evaluate.
+    pins, node an integer in [0, n_nodes) and component 0 or 1.  Returns the
+    system, its `constrained` updated only if all evaluate.
     """
     mesh = system.mesh
     constrained = {}
@@ -141,13 +142,16 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
             raise UnknownBoundaryTag(tag)
         nodes = np.array(mesh.boundary_nodes[tag], dtype=int)
         x, y = mesh.nodes[nodes].T
-        gx, gy = func(x, y)
+        gx, gy = func(x, y) if callable(func) else func
         for comp, g in enumerate((gx, gy)):
             if g is not None:
                 dofs = (2 * nodes + comp).tolist()
                 constrained.update(zip(dofs, _at_points(g, x, y, ()).tolist()))
     for node, comp, value in node_constraints:
-        constrained[2 * node + comp] = float(value)
+        is_node = isinstance(node, (int, np.integer)) and 0 <= node < mesh.n_nodes
+        if not is_node or comp not in (0, 1):
+            raise ValueError(f"pin ({node!r}, {comp!r}) not in [0, {mesh.n_nodes}) x {{0, 1}}")
+        constrained[2 * int(node) + int(comp)] = float(value)
     system.constrained.update(constrained)
     return system
 

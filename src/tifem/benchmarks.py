@@ -181,7 +181,7 @@ def run_cook(cfg):
             mesh, mp, frame, variant,
             tractions={"right": (0.0, cfg.f / edge_len)},
         )
-        apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
+        apply_dirichlet(system, {"left": (0.0, 0.0)})
         du, dv = solve(system).at_node(mesh.boundary_nodes["tip"][0])
         return {"tip_u": float(du), "tip_v": float(dv)}
 

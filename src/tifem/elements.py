@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .material import plane_strain_stiffness
+from .mesh import LOCAL_NODES
 
 
 class NonPositiveJacobian(ValueError):
@@ -65,59 +66,43 @@ def gauss_rule(n):
     return QuadratureRule(points=pts, weights=wts)
 
 
-def _lagrange_quadratic(t):
-    # 1D quadratic Lagrange basis at nodes (-1, 1, 0), with derivatives.
-    vals = np.array([0.5 * t * (t - 1.0), 0.5 * t * (t + 1.0), 1.0 - t * t])
-    ders = np.array([t - 0.5, t + 0.5, -2.0 * t])
-    return vals, ders
+def _lagrange_1d(order, t):
+    """1D Lagrange basis at nodes (-1, 1, 0)[: order + 1] on a float array t:
+    values and derivatives, each of shape t.shape + (order + 1,)."""
+    if order == 1:
+        vals = [0.5 * (1 - t), 0.5 * (1 + t)]
+        ders = [np.full_like(t, -0.5), np.full_like(t, 0.5)]
+    elif order == 2:
+        vals = [0.5 * t * (t - 1.0), 0.5 * t * (t + 1.0), 1.0 - t * t]
+        ders = [t - 0.5, t + 0.5, -2.0 * t]
+    else:
+        raise ValueError("order must be 1 or 2")
+    return np.stack(vals, axis=-1), np.stack(ders, axis=-1)
 
 
 def shape_functions(order, xi):
-    """Shape function values and reference gradients at a reference point.
+    """Shape function values and reference gradients at reference points.
 
-    Returns (values (n,), gradients (n, 2)) with n = 4 (Q1) or 9 (Q2),
-    node ordering matching the mesh connectivity.
+    xi: (..., 2).  Returns (values (..., n), gradients (..., n, 2)) with n = 4
+    (Q1) or 9 (Q2), the tensor product of the 1D bases over mesh.LOCAL_NODES.
     """
-    s, t = float(xi[0]), float(xi[1])
-    if order == 1:
-        vals = 0.25 * np.array(
-            [(1 - s) * (1 - t), (1 + s) * (1 - t), (1 + s) * (1 + t), (1 - s) * (1 + t)]
-        )
-        grads = 0.25 * np.array(
-            [
-                [-(1 - t), -(1 - s)],
-                [(1 - t), -(1 + s)],
-                [(1 + t), (1 + s)],
-                [-(1 + t), (1 - s)],
-            ]
-        )
-        return vals, grads
-    if order == 2:
-        ls, dls = _lagrange_quadratic(s)
-        lt, dlt = _lagrange_quadratic(t)
-        # local (i, j) index into the 1D bases per node: corners, midsides, center
-        pattern = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (1, 2), (2, 1), (0, 2), (2, 2)]
-        vals = np.array([ls[i] * lt[j] for i, j in pattern])
-        grads = np.array([[dls[i] * lt[j], ls[i] * dlt[j]] for i, j in pattern])
-        return vals, grads
-    raise ValueError("order must be 1 or 2")
-
-
-def edge_shape_functions(order, t):
-    """1D edge basis (values, derivatives) in edge-node ordering."""
-    t = float(t)
-    if order == 1:
-        return np.array([0.5 * (1 - t), 0.5 * (1 + t)]), np.array([-0.5, 0.5])
-    vals, ders = _lagrange_quadratic(t)
-    return vals, ders
+    xi = np.asarray(xi, dtype=float)
+    ls, dls = _lagrange_1d(order, xi[..., 0])
+    lt, dlt = _lagrange_1d(order, xi[..., 1])
+    i, j = LOCAL_NODES[: (order + 1) ** 2].T
+    vals = ls[..., i] * lt[..., j]
+    grads = np.stack([dls[..., i] * lt[..., j], ls[..., i] * dlt[..., j]], axis=-1)
+    return vals, grads
 
 
 @lru_cache(maxsize=None)
 def _tabulated(order, n_gauss):
-    """Shape values (q, n), reference gradients (q, n, 2) and the rule."""
+    """The rule, its points followed by the reference nodes (k, 2), and the
+    shape values (k, n) and reference gradients (k, n, 2) on them."""
     rule = gauss_rule(n_gauss)
-    vals, grads = zip(*(shape_functions(order, xi) for xi in rule.points))
-    return np.array(vals), np.array(grads), rule
+    nodes = np.array([-1.0, 1.0, 0.0])[LOCAL_NODES[: (order + 1) ** 2]]
+    points = np.concatenate([rule.points, nodes])
+    return rule, points, *shape_functions(order, points)
 
 
 def geometry(coords, order, n_gauss):
@@ -125,17 +110,20 @@ def geometry(coords, order, n_gauss):
 
     coords: (E, n, 2) node coordinates.  Returns shape values (q, n),
     physical gradients (E, q, n, 2) and weight * det J (E, q) on the
-    n_gauss x n_gauss rule.
+    n_gauss x n_gauss rule.  det J must be positive on the rule and at the
+    nodes; a bilinear map's det J is affine, so on Q1 the corners decide.
     """
-    vals, grads, rule = _tabulated(order, n_gauss)
+    rule, points, vals, grads = _tabulated(order, n_gauss)
     J = np.einsum("eni,qnj->eqij", coords, grads)   # J[..., i, j] = dx_i/dxi_j
     detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     bad = np.argwhere(detJ <= 0.0)
     if bad.size:
         e, q = bad[0]
         raise NonPositiveJacobian(
-            f"element {e}: det J = {detJ[e, q]} at {rule.points[q].tolist()}"
+            f"element {e}: det J = {detJ[e, q]} at {points[q].tolist()}"
         )
+    q = len(rule.weights)
+    vals, grads, J, detJ = vals[:q], grads[:q], J[:, :q], detJ[:, :q]
     inv = np.empty_like(J)
     inv[..., 0, 0] = J[..., 1, 1]
     inv[..., 0, 1] = -J[..., 0, 1]
@@ -183,7 +171,7 @@ def element_stiffness(coords, mp, frame, variant):
     """
     coords = np.asarray(coords, dtype=float)
     order = variant.order
-    n_expected = 4 if order == 1 else 9
+    n_expected = (order + 1) ** 2
     if coords.ndim not in (2, 3) or coords.shape[-2:] != (n_expected, 2):
         raise ValueError(
             f"{variant.value} expects {n_expected} nodes, got shape {coords.shape}"

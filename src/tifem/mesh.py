@@ -1,17 +1,20 @@
 """Structured quadrilateral meshes for the beam and the tapered Cook panel.
 
-Q1 elements carry their 4 corner nodes counterclockwise; Q2 elements append
-the 4 midside nodes (one per edge, same ordering) and the center node.
-Local edges: 0 = bottom (nodes 0-1), 1 = right (1-2), 2 = top (2-3),
-3 = left (3-0).
+Local nodes follow LOCAL_NODES: Q1 elements carry its first 4 rows, the
+corners counterclockwise; Q2 elements append the 4 midside nodes (one per
+edge, same ordering) and the center node.  Local edges: 0 = bottom (nodes
+0-1), 1 = right (1-2), 2 = top (2-3), 3 = left (3-0).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# Midside node of local edge e is local node 4 + e on Q2 elements.
-_EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
+# 1D node indices (i, j) of each local node in the basis at (-1, 1, 0); the
+# shape functions and the connectivity both derive from this one table.
+LOCAL_NODES = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (1, 2), (2, 1), (0, 2), (2, 2)])
+# Local nodes of each local edge: endpoints, then the midside node (Q2 only).
+_EDGE_LOCAL = np.array([(0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 7)])
 
 COOK_CORNERS = np.array([(0.0, 0.0), (48.0, 44.0), (48.0, 60.0), (0.0, 44.0)])
 
@@ -34,12 +37,10 @@ class QuadMesh:
         return self.elements.shape[0]
 
     def edge_nodes(self, element, local_edge):
-        """Node indices along a local edge, endpoints first, midside last."""
-        c0, c1 = _EDGE_CORNERS[local_edge]
-        conn = self.elements[element]
-        if self.order == 1:
-            return np.array([conn[c0], conn[c1]])
-        return np.array([conn[c0], conn[c1], conn[4 + local_edge]])
+        """Node indices along a local edge, endpoints first, midside last; for
+        equal-length arrays of elements and local edges, one row per pair."""
+        local = _EDGE_LOCAL[local_edge, : self.order + 1]
+        return self.elements[np.asarray(element)[..., None], local]
 
     def dump(self, stream):
         """Plain-text listing: one node / element / boundary entity per line."""
@@ -68,23 +69,10 @@ def _structured_mesh(nx, ny, order, mapping):
     S, T = np.meshgrid(s, t, indexing="xy")
     nodes = mapping(S.ravel(), T.ravel())
 
-    def idx(i, j):
-        return j * (mx + 1) + i
-
-    elements = []
-    for ey in range(ny):
-        for ex in range(nx):
-            i0, j0 = ex * order, ey * order
-            if order == 1:
-                conn = [idx(i0, j0), idx(i0 + 1, j0), idx(i0 + 1, j0 + 1), idx(i0, j0 + 1)]
-            else:
-                conn = [
-                    idx(i0, j0), idx(i0 + 2, j0), idx(i0 + 2, j0 + 2), idx(i0, j0 + 2),
-                    idx(i0 + 1, j0), idx(i0 + 2, j0 + 1), idx(i0 + 1, j0 + 2), idx(i0, j0 + 1),
-                    idx(i0 + 1, j0 + 1),
-                ]
-            elements.append(conn)
-    elements = np.array(elements, dtype=int)
+    # Grid offsets of each local node from its element's lower-left node.
+    di, dj = np.array([0, order, 1])[LOCAL_NODES[: (order + 1) ** 2]].T
+    j0, i0 = np.divmod(np.arange(nx * ny)[:, None], nx)
+    elements = (j0 * order + dj) * (mx + 1) + i0 * order + di
 
     boundary_edges = {
         "bottom": [(ex, 0) for ex in range(nx)],
@@ -107,10 +95,7 @@ def _structured_mesh(nx, ny, order, mapping):
         order=order,
     )
     for tag, pairs in boundary_edges.items():
-        seen = set()
-        for elem, edge in pairs:
-            seen.update(mesh.edge_nodes(elem, edge).tolist())
-        mesh.boundary_nodes[tag] = sorted(seen)
+        mesh.boundary_nodes[tag] = np.unique(mesh.edge_nodes(*np.transpose(pairs))).tolist()
     return mesh
 
 

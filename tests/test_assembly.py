@@ -360,6 +360,38 @@ class TestFieldFunctions:
             apply_dirichlet(system, {"left": bcs["left"]}, node_constraints=[(0, 0, "free")])
         assert system.constrained == {}
 
+    def test_constant_dirichlet_equals_function(self):
+        mesh = rectangle_mesh(2.0, 1.0, 2, 2, order=2)
+        systems = [
+            apply_dirichlet(assemble(mesh, MP_ISO, FRAME0, V.Q2_CG),
+                            {"left": g, "bottom": (None, 0.5)})
+            for g in ((0.25, 0.0), lambda x, y: (0.25, 0.0))
+        ]
+        assert systems[0].constrained == systems[1].constrained
+        assert systems[0].constrained[2 * mesh.boundary_nodes["left"][0]] == 0.25
+        assert len(systems[0].constrained) == 2 * 5 + 5 - 1
+
+
+class TestNodeConstraints:
+    """Pointwise pins name an existing node and the component 0 or 1."""
+
+    @pytest.mark.parametrize("pin", [(-1, 0, 0.5), (0, 2, 0.5), (0.5, 0, 0.0), (100, 0, 0.0),
+                                     (9, 0, 0.0), (0, -1, 0.0)])
+    def test_invalid_pin_is_rejected(self, pin):
+        mesh = rectangle_mesh(2.0, 2.0, 2, 2, order=1)
+        system = apply_dirichlet(assemble(mesh, MP_ISO, FRAME0, V.Q1_CG), {"left": (0.0, 0.0)})
+        before = dict(system.constrained)
+        with pytest.raises(ValueError, match=r"^pin \("):
+            apply_dirichlet(system, node_constraints=[pin])
+        assert system.constrained == before
+
+    @pytest.mark.parametrize("node", [8, np.int64(8)], ids=["int", "numpy"])
+    def test_valid_pin_is_recorded(self, node):
+        mesh = rectangle_mesh(2.0, 2.0, 2, 2, order=1)
+        system = apply_dirichlet(assemble(mesh, MP_ISO, FRAME0, V.Q1_CG),
+                                 node_constraints=[(node, 1, 0.5)])
+        assert system.constrained == {17: 0.5}
+
 
 class TestFrameInvariance:
     def test_global_energy_under_rotation(self, rng):

@@ -15,6 +15,7 @@ from tifem import (
     p0_projected_term,
     shape_functions,
 )
+from tifem.elements import geometry
 from conftest import random_parallelogram, random_quad, sample_admissible
 
 V = FormulationVariant
@@ -87,6 +88,20 @@ class TestShapeFunctions:
             assert np.allclose(vals, expected, atol=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2])
+    def test_batched_points_equal_single_points(self, order, rng):
+        pts = rng.uniform(-1, 1, size=(3, 5, 2))
+        vals, grads = shape_functions(order, pts)
+        n = (order + 1) ** 2
+        assert vals.shape == (3, 5, n) and grads.shape == (3, 5, n, 2)
+        for idx in np.ndindex(3, 5):
+            v, g = shape_functions(order, tuple(pts[idx]))
+            assert np.array_equal(vals[idx], v) and np.array_equal(grads[idx], g)
+
+    def test_invalid_order(self):
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            shape_functions(3, (0.0, 0.0))
+
+    @pytest.mark.parametrize("order", [1, 2])
     def test_gradients_match_finite_differences(self, order, rng):
         step = 1e-6
         for _ in range(10):
@@ -98,6 +113,21 @@ class TestShapeFunctions:
                 hi[d] += step
                 fd = (shape_functions(order, hi)[0] - shape_functions(order, lo)[0]) / (2 * step)
                 assert np.abs(grads[:, d] - fd).max() < 1e-8
+
+
+class TestGeometry:
+    def test_non_convex_q1_quad_is_rejected(self):
+        coords = np.array([[(0.0, 0.0), (1.0, 0.0), (0.4, 0.4), (0.0, 1.0)]])
+        # det J is positive at the 2x2 Gauss points and negative at corner 2
+        _, grads = shape_functions(1, gauss_rule(2).points)
+        assert np.all(np.linalg.det(np.einsum("ni,qnj->qij", coords[0], grads)) > 0)
+        message = r"^element 0: det J = -0\.0499\d* at \[1\.0, 1\.0\]$"
+        with pytest.raises(NonPositiveJacobian, match=message):
+            geometry(coords, 1, 2)
+        mp = MaterialParameters(lam=2.0, mu_t=1.0, mu_l=1.0, alpha=0.0, beta=0.0)
+        for variant in (V.Q1_CG, V.Q1_CG_UI_betalambda):
+            with pytest.raises(NonPositiveJacobian):
+                element_stiffness(coords[0], mp, FibreFrame.from_angle(0.0), variant)
 
 
 class TestElementStiffness:

@@ -6,7 +6,7 @@ import pytest
 
 from tifem import cook_mesh, rectangle_mesh
 from tifem.elements import gauss_rule, shape_functions
-from tifem.mesh import COOK_CORNERS
+from tifem.mesh import COOK_CORNERS, LOCAL_NODES
 
 
 def element_jacobians(mesh, n_gauss=3):
@@ -144,3 +144,62 @@ class TestDump:
             edges[tag] = [tuple(map(int, ln.split())) for ln in rest[1 : 1 + int(count)]]
             rest = rest[1 + int(count) :]
         assert edges == {t: [tuple(e) for e in es] for t, es in mesh.boundary_edges.items()}
+
+
+REF_1D = np.array([-1.0, 1.0, 0.0])
+
+
+def domain_map(corners, s, t):
+    """Bilinear map of the unit square onto the quadrilateral `corners`."""
+    vals, _ = shape_functions(1, np.stack([2 * s - 1, 2 * t - 1], axis=-1))
+    return vals @ corners
+
+
+class TestLocalNodeLayout:
+    """Meshes store local node k at the reference position LOCAL_NODES[k]."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["cook", "rectangle"])
+    def test_node_k_sits_at_its_reference_position(self, kind, order):
+        nx, ny = (5, 5) if kind == "cook" else (4, 3)
+        if kind == "cook":
+            mesh, corners = cook_mesh(nx, order), COOK_CORNERS
+        else:
+            mesh = rectangle_mesh(8.0, 3.0, nx, ny, order)
+            corners = np.array([(0.0, -1.5), (8.0, -1.5), (8.0, 1.5), (0.0, 1.5)])
+        xi = REF_1D[LOCAL_NODES[: mesh.elements.shape[1]]]   # (n, 2)
+        ey, ex = np.divmod(np.arange(mesh.n_elements), nx)
+        s = (ex[:, None] + (xi[:, 0] + 1) / 2) / nx
+        t = (ey[:, None] + (xi[:, 1] + 1) / 2) / ny
+        expected = domain_map(corners, s, t)                 # (E, n, 2)
+        assert np.allclose(mesh.nodes[mesh.elements], expected, rtol=0, atol=1e-12 * 60)
+        # and node k is the element's own bilinear corner map at xi_k
+        vals, _ = shape_functions(1, xi)
+        assert np.allclose(mesh.nodes[mesh.elements], vals @ mesh.nodes[mesh.elements[:, :4]],
+                           rtol=0, atol=1e-12 * 60)
+
+    def test_q2_connectivity_literal(self):
+        mesh = rectangle_mesh(2.0, 1.0, 2, 1, order=2)
+        # 5 x 3 grid nodes numbered along x first
+        assert mesh.elements.tolist() == [
+            [0, 2, 12, 10, 1, 7, 11, 5, 6],
+            [2, 4, 14, 12, 3, 9, 13, 7, 8],
+        ]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_vectorised_edge_nodes_equal_single_pairs(self, order):
+        mesh = cook_mesh(3, order)
+        pairs = [pair for tag in sorted(mesh.boundary_edges) for pair in mesh.boundary_edges[tag]]
+        batched = mesh.edge_nodes(*np.transpose(pairs))
+        assert batched.shape == (len(pairs), order + 1)
+        assert np.array_equal(batched, [mesh.edge_nodes(e, k) for e, k in pairs])
+
+    def test_edge_nodes_lie_on_their_edge(self):
+        mesh = rectangle_mesh(4.0, 2.0, 2, 2, order=2)
+        for tag, coord, value in [("bottom", 1, -1.0), ("right", 0, 4.0),
+                                  ("top", 1, 1.0), ("left", 0, 0.0)]:
+            nodes = mesh.edge_nodes(*np.transpose(mesh.boundary_edges[tag]))
+            assert np.allclose(mesh.nodes[nodes][..., coord], value)
+            # endpoints first, midside last
+            ends = mesh.nodes[nodes[:, :2]].mean(axis=1)
+            assert np.allclose(mesh.nodes[nodes[:, 2]], ends)
