@@ -5,7 +5,8 @@ the 2 mu_t deviatoric-type term) and the anisotropic part (alpha coupling,
 beta extensional term, gamma shear-difference term).  The under-integrated
 variants evaluate the designated term with the one-point Gauss rule; the
 mixed variant condenses an elementwise-constant multiplier, which is the
-elementwise L2 projection of the extensional strain onto constants.
+elementwise L2 projection of the extensional strain onto constants.  The two
+coincide on every Q1 element, and the kernel builds both from its 2x2 rule.
 """
 
 import enum
@@ -35,20 +36,17 @@ class FormulationVariant(enum.Enum):
         return 2 if self is FormulationVariant.Q2_CG else 1
 
 
-# Rule of the lambda-term and of the beta-term per variant: "full" leaves the
-# term in the constitutive matrix on the full-order rule, "one" takes the
-# one-point rule, "p0" the elementwise L2 projection onto constants.
-_TERM_RULES = {
-    FormulationVariant.Q1_CG: ("full", "full"),
-    FormulationVariant.Q2_CG: ("full", "full"),
-    FormulationVariant.Q1_CG_UI_lambda: ("one", "full"),
-    FormulationVariant.Q1_CG_UI_beta: ("full", "one"),
-    FormulationVariant.Q1_CG_UI_betalambda: ("one", "one"),
-    FormulationVariant.Q1_MIXED_P0_beta: ("full", "p0"),
+# Coefficients of the terms each variant reduces to (int g)(int g)^T / |E|.
+_REDUCED_TERMS = {
+    FormulationVariant.Q1_CG: (),
+    FormulationVariant.Q2_CG: (),
+    FormulationVariant.Q1_CG_UI_lambda: ("lam",),
+    FormulationVariant.Q1_CG_UI_beta: ("beta",),
+    FormulationVariant.Q1_CG_UI_betalambda: ("lam", "beta"),
+    FormulationVariant.Q1_MIXED_P0_beta: ("beta",),
 }
-# Gauss points per direction of the reduced rules; the projected integrals
-# are exact on the 2x2 rule for bilinearly mapped elements.
-_REDUCED_GAUSS = {"one": 1, "p0": 2}
+# Coefficient of each reducible term by its public name.
+_COEFFICIENT = {"volumetric": "lam", "extensional": "beta"}
 
 
 @dataclass(frozen=True)
@@ -143,23 +141,21 @@ def _strain_matrix(dN):
     return B
 
 
-# Voigt selectors (strain ordering 11, 22, 2*12).
-_B_VOL = np.array([1.0, 1.0, 0.0])
-
-
-def _extensional_selector(frame):
+def _selector(term, frame):
+    """Voigt selector s (strain ordering 11, 22, 2*12) of the lam-term or the
+    beta-term: s . eps is the divergence or the fibre strain a . eps a."""
+    if term == "lam":
+        return np.array([1.0, 1.0, 0.0])
+    if frame is None:
+        raise ValueError("extensional term needs a fibre frame")
     a1, a2 = frame.vec[:2]
     return np.array([a1 * a1, a2 * a2, a1 * a2])
 
 
-def _reduced_term(coords, order, selector, n_gauss):
-    """Unit-coefficient terms (int g)(int g)^T / |E| with g = B^T selector.
-
-    On the one-point rule this is the under-integrated term; on the 2x2 rule
-    it is the term with its integrand projected onto constants.
-    """
-    _, dN, wdet = geometry(coords, order, n_gauss)
-    g = np.einsum("eq,eqj->ej", wdet, selector @ _strain_matrix(dN))
+def _reduced_term(B, wdet, selector):
+    """Unit-coefficient terms (int g)(int g)^T / |E| with g = B^T selector,
+    from B (E, q, 3, 2n) and weight * det J (E, q) on a rule exact for g."""
+    g = np.einsum("eq,eqj->ej", wdet, selector @ B)
     return g[:, :, None] * g[:, None, :] / wdet.sum(axis=1)[:, None, None]
 
 
@@ -176,37 +172,18 @@ def element_stiffness(coords, mp, frame, variant):
         raise ValueError(
             f"{variant.value} expects {n_expected} nodes, got shape {coords.shape}"
         )
-    batch = coords.reshape(-1, n_expected, 2)
-
-    selectors = {"lam": _B_VOL, "beta": _extensional_selector(frame)}
-    reduced = {t: r for t, r in zip(selectors, _TERM_RULES[variant]) if r != "full"}
+    reduced = _REDUCED_TERMS[variant]
     D = plane_strain_stiffness(replace(mp, **dict.fromkeys(reduced, 0.0)), frame)
-    _, dN, wdet = geometry(batch, order, order + 1)
+    _, dN, wdet = geometry(coords.reshape(-1, n_expected, 2), order, order + 1)
     B = _strain_matrix(dN)
     E, q, _, ndof = B.shape
     Bw = (B * wdet[..., None, None]).reshape(E, 3 * q, ndof)
     K = np.swapaxes(Bw, 1, 2) @ (D @ B).reshape(E, 3 * q, ndof)
-    for term, rule in reduced.items():
-        selector = selectors[term]
-        K += getattr(mp, term) * _reduced_term(batch, order, selector, _REDUCED_GAUSS[rule])
+    for term in reduced:
+        K += getattr(mp, term) * _reduced_term(B, wdet, _selector(term, frame))
     K += np.swapaxes(K, 1, 2)
     K *= 0.5
     return K.reshape(coords.shape[:-2] + (ndof, ndof))
-
-
-def _order_one_term(coords, coefficient, which, frame, rule):
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (4, 2):
-        raise ValueError("reduced terms are defined for order-1 elements")
-    if which == "volumetric":
-        selector = _B_VOL
-    elif which == "extensional":
-        if frame is None:
-            raise ValueError("extensional term needs a fibre frame")
-        selector = _extensional_selector(frame)
-    else:
-        raise ValueError(f"unknown term selector {which!r}")
-    return coefficient * _reduced_term(coords[None], 1, selector, _REDUCED_GAUSS[rule])[0]
 
 
 def p0_projected_term(coords, coefficient, which, frame=None):
@@ -215,9 +192,20 @@ def p0_projected_term(coords, coefficient, which, frame=None):
     which: "volumetric" (divergence integrand) or "extensional" (fibre-strain
     integrand, requires a frame).  Order-1 elements only.
     """
-    return _order_one_term(coords, coefficient, which, frame, "p0")
+    if which not in _COEFFICIENT:
+        raise ValueError(f"unknown term selector {which!r}")
+    selector = _selector(_COEFFICIENT[which], frame)
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (4, 2):
+        raise ValueError("reduced terms are defined for order-1 elements")
+    _, dN, wdet = geometry(coords[None], 1, 2)
+    return coefficient * _reduced_term(_strain_matrix(dN), wdet, selector)[0]
 
 
 def one_point_term(coords, coefficient, which, frame=None):
-    """One-point under-integrated counterpart of p0_projected_term."""
-    return _order_one_term(coords, coefficient, which, frame, "one")
+    """One-point under-integrated term: the matrix of p0_projected_term on every
+    Q1 element.  For a bilinear map, w det J dN/dx = w (dN/dxi dy/deta -
+    dN/deta dy/dxi) is bilinear in (xi, eta) and det J is affine, so int g and
+    |E| are exact on the one-point rule (xi = 0, w = 4) as on the 2x2 rule.
+    """
+    return p0_projected_term(coords, coefficient, which, frame)

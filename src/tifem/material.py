@@ -223,6 +223,8 @@ def plane_strain_stiffness(mp, frame):
     Direct restriction of the stress-strain law to in-plane tensors with
     in-plane fibre direction; this is what the element integrands use.
     """
+    if abs(np.linalg.norm(frame.vec[:2]) - 1.0) > 1e-14:
+        raise ValueError("plane-strain stiffness needs an in-plane unit fibre")
     a1, a2 = frame.vec[:2]
     lam, mu_t = mp.lam, mp.mu_t
     alpha, beta, gamma = mp.alpha, mp.beta, mp.gamma
@@ -241,8 +243,6 @@ def plane_strain_compliance(mp, frame):
 
     Used by the beam's analytical solution.
     """
-    if abs(np.linalg.norm(frame.vec[:2]) - 1.0) > 1e-14:
-        raise ValueError("plane-strain compliance needs an in-plane unit fibre")
     (c11, c12, c13), (_, c22, c23), (_, _, c33) = plane_strain_stiffness(mp, frame)
     det = (
         c11 * (c22 * c33 - c23**2)

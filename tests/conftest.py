@@ -44,6 +44,22 @@ def random_parallelogram(rng, scale=1.0):
     return np.array([p0, p0 + e1, p0 + e1 + e2, p0 + e2])
 
 
+def one_point_oracle(coords, selector):
+    """Hand-written one-point term w det J b b^T at xi = 0, w = 4, with
+    b = B^T selector, for Q1 coordinates (..., 4, 2)."""
+    grads = 0.25 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    J = np.einsum("...ni,nj->...ij", coords, grads)
+    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    dN = grads @ np.linalg.inv(J)
+    B = np.zeros(coords.shape[:-2] + (3, 8))
+    B[..., 0, 0::2] = dN[..., 0]
+    B[..., 1, 1::2] = dN[..., 1]
+    B[..., 2, 0::2] = dN[..., 1]
+    B[..., 2, 1::2] = dN[..., 0]
+    b = np.einsum("i,...ij->...j", selector, B)
+    return 4.0 * detJ[..., None, None] * b[..., :, None] * b[..., None, :]
+
+
 def _is_convex_ccw(quad):
     for i in range(4):
         a, b, c = quad[i], quad[(i + 1) % 4], quad[(i + 2) % 4]

@@ -5,6 +5,7 @@ section, so a scan of the output shows the verdict per criterion.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tifem import (
     FibreFrame,
     FormulationVariant,
     compliance_matrix_e3,
+    cook_mesh,
     derive_parameters,
     element_stiffness,
     error_bound_constant,
@@ -28,7 +30,7 @@ from tifem import (
     stiffness_matrix_e3,
 )
 from tifem.cli import main as cli_main
-from conftest import random_parallelogram, sample_admissible
+from conftest import one_point_oracle, random_parallelogram, random_quad, sample_admissible
 
 V = FormulationVariant
 PI4 = math.pi / 4
@@ -202,6 +204,27 @@ def test_criterion_5_mixed_equivalence(acc_rng):
         K_1p = one_point_term(coords, mp.lam, "volumetric", frame)
         K_p0 = p0_projected_term(coords, mp.lam, "volumetric", frame)
         ok &= np.abs(K_1p - K_p0).max() <= 1e-12 * max(np.abs(K_1p).max(), 1.0)
+    # general convex quads, then every element of the Cook mesh batched; the
+    # one-point rule is also written out, so the gate does not rest on the
+    # kernel building both variants from one term
+    cook = cook_mesh(16, 1)
+    for coords in [random_quad(acc_rng) for _ in range(20)] + [cook.nodes[cook.elements]]:
+        mp = derive_parameters(sample_admissible(acc_rng))
+        frame = FibreFrame.from_angle(acc_rng.uniform(0.0, math.pi))
+        a1, a2 = frame.vec
+        K_ui = element_stiffness(coords, mp, frame, V.Q1_CG_UI_beta)
+        K_mx = element_stiffness(coords, mp, frame, V.Q1_MIXED_P0_beta)
+        K_oracle = element_stiffness(coords, replace(mp, beta=0.0), frame, V.Q1_CG)
+        K_oracle = K_oracle + mp.beta * one_point_oracle(
+            coords, np.array([a1 * a1, a2 * a2, a1 * a2])
+        )
+        scale = np.abs(K_ui).max(axis=(-2, -1), keepdims=True)
+        ok &= bool(np.all(np.abs(K_ui - K_mx) <= 1e-12 * scale))
+        ok &= bool(np.all(np.abs(K_oracle - K_mx) <= 1e-12 * scale))
+        for quad in coords.reshape(-1, 4, 2):
+            K_1p = one_point_term(quad, mp.lam, "volumetric", frame)
+            K_p0 = p0_projected_term(quad, mp.lam, "volumetric", frame)
+            ok &= np.abs(K_1p - K_p0).max() <= 1e-12 * max(np.abs(K_1p).max(), 1.0)
     verdict(5, ok, "mixed Q1-P0 equals selectively under-integrated form")
 
 

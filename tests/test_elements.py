@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from tifem import (
     FormulationVariant,
     MaterialParameters,
     NonPositiveJacobian,
+    cook_mesh,
     derive_parameters,
     element_stiffness,
     gauss_rule,
@@ -15,8 +17,9 @@ from tifem import (
     p0_projected_term,
     shape_functions,
 )
+from tifem import elements
 from tifem.elements import geometry
-from conftest import random_parallelogram, random_quad, sample_admissible
+from conftest import one_point_oracle, random_parallelogram, random_quad, sample_admissible
 
 V = FormulationVariant
 
@@ -152,6 +155,32 @@ class TestElementStiffness:
             K_ui = element_stiffness(coords, mp, frame, V.Q1_CG_UI_beta)
             K_mx = element_stiffness(coords, mp, frame, V.Q1_MIXED_P0_beta)
             assert np.abs(K_ui - K_mx).max() <= 1e-12 * np.abs(K_ui).max()
+        # general convex quads and every element of a distorted mesh, batched;
+        # the oracle is the UI form with its one-point rule written out
+        cook = cook_mesh(16, 1)
+        for coords in [random_quad(rng) for _ in range(10)] + [cook.nodes[cook.elements]]:
+            mp = derive_parameters(sample_admissible(rng))
+            frame = FibreFrame.from_angle(rng.uniform(0, math.pi))
+            a1, a2 = frame.vec
+            selector = np.array([a1 * a1, a2 * a2, a1 * a2])
+            K_ui = element_stiffness(coords, mp, frame, V.Q1_CG_UI_beta)
+            K_mx = element_stiffness(coords, mp, frame, V.Q1_MIXED_P0_beta)
+            K_1p = element_stiffness(coords, replace(mp, beta=0.0), frame, V.Q1_CG)
+            K_1p = K_1p + mp.beta * one_point_oracle(coords, selector)
+            scale = np.abs(K_ui).max(axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(K_ui - K_mx) <= 1e-12 * scale)
+            assert np.all(np.abs(K_1p - K_mx) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("variant", list(V))
+    def test_one_geometry_call_per_kernel_call(self, variant, rng, monkeypatch):
+        calls = []
+        real = elements.geometry
+        monkeypatch.setattr(elements, "geometry", lambda *a: calls.append(a) or real(*a))
+        mp = derive_parameters(sample_admissible(rng))
+        corners = np.stack([random_quad(rng) for _ in range(3)])
+        coords = corners if variant.order == 1 else np.stack([q2_coords(c) for c in corners])
+        element_stiffness(coords, mp, FibreFrame.from_angle(0.5), variant)
+        assert len(calls) == 1
 
     def test_underintegration_noop_when_beta_zero(self, rng):
         mp = MaterialParameters(lam=2.0, mu_t=1.0, mu_l=1.0, alpha=0.0, beta=0.0)
@@ -251,7 +280,17 @@ class TestP0Projection:
             K_oracle = 1.9 * np.outer(g, g) / area
             K = p0_projected_term(coords, 1.9, "extensional", frame)
             assert np.abs(K - K_oracle).max() <= 1e-12 * max(np.abs(K).max(), 1.0)
+            K_1p = one_point_term(coords, 1.9, "extensional", frame)
+            K_1p_oracle = 1.9 * one_point_oracle(coords, selector)
+            assert np.abs(K_1p - K_1p_oracle).max() <= 1e-12 * max(np.abs(K_1p).max(), 1.0)
 
     def test_rejects_bad_selector(self, rng):
         with pytest.raises(ValueError):
             p0_projected_term(random_quad(rng), 1.0, "shear")
+        with pytest.raises(ValueError, match="unknown term selector 'shear'"):
+            one_point_term(random_quad(rng), 1.0, "shear")
+
+    @pytest.mark.parametrize("term", [p0_projected_term, one_point_term])
+    def test_extensional_term_needs_a_frame(self, term, rng):
+        with pytest.raises(ValueError, match="needs a fibre frame"):
+            term(random_quad(rng), 1.0, "extensional")

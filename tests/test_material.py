@@ -7,14 +7,18 @@ from tifem import (
     DegenerateDenominator,
     EngineeringConstants,
     FibreFrame,
+    FormulationVariant,
     MaterialParameters,
     SingularStiffness,
     check_stability,
     compliance_matrix_e3,
+    assemble,
     derive_parameters,
+    element_stiffness,
     error_bound_constant,
     plane_strain_compliance,
     plane_strain_stiffness,
+    rectangle_mesh,
     stiffness_apply,
     stiffness_matrix_e3,
 )
@@ -254,6 +258,21 @@ class TestPlaneStrain:
         S0 = plane_strain_compliance(mp, FibreFrame.from_angle(0.0))
         Spi = plane_strain_compliance(mp, FibreFrame.from_angle(math.pi))
         assert np.allclose(S0, Spi, rtol=0, atol=1e-12 * np.abs(S0).max())
+
+    @pytest.mark.parametrize("a", [(0.6, 0.0, 0.8), (0.0, 0.0, 1.0)])
+    def test_out_of_plane_fibre_is_rejected(self, a):
+        # the 3x3 matrix restricts the law to in-plane fibres; an out-of-plane
+        # one would give entries that stiffness_apply does not
+        mp = MaterialParameters(lam=2.0, mu_t=1.0, mu_l=1.5, alpha=0.7, beta=3.0)
+        frame = FibreFrame(a)
+        mesh = rectangle_mesh(2.0, 1.0, 2, 1)
+        message = "needs an in-plane unit fibre"
+        with pytest.raises(ValueError, match=message):
+            plane_strain_stiffness(mp, frame)
+        with pytest.raises(ValueError, match=message):
+            element_stiffness(mesh.nodes[mesh.elements], mp, frame, FormulationVariant.Q1_CG)
+        with pytest.raises(ValueError, match=message):
+            assemble(mesh, mp, frame, FormulationVariant.Q1_CG_UI_beta)
 
     def test_singular_stiffness_raises(self):
         mp = MaterialParameters(lam=0.0, mu_t=0.0, mu_l=0.0, alpha=0.0, beta=0.0)
