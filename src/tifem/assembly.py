@@ -1,9 +1,10 @@
 """Global assembly, boundary conditions, linear solve, and error norms.
 
 Degrees of freedom are interleaved: node i owns dofs (2i, 2i+1) for the
-x and y displacement components.  Dirichlet constraints are handled by
-symmetric elimination at solve time; the assembled matrix always covers
-all dofs.
+x and y displacement components.  Dirichlet constraints are eliminated at
+solve time: the free dofs F solve K_FF u_F = f_F - K_F u, where K_F is the
+rows F of K and u holds the prescribed values, zero on F.  The assembled
+matrix always covers all dofs.
 
 Field functions (body force, tractions, Dirichlet data, exact solutions) are
 called once each as func(x, y) on coordinate arrays of quadrature points
@@ -82,8 +83,7 @@ def _add_load(f, conn, vals, wmeas, coords, spec):
     x, y = np.einsum("qn,eni->ieq", vals, coords)
     t = _at_points(spec, x, y, (2,))
     fe = np.einsum("qn,eq,eqi->eni", vals, wmeas, t)
-    np.add.at(f, 2 * conn, fe[..., 0])
-    np.add.at(f, 2 * conn + 1, fe[..., 1])
+    np.add.at(f.reshape(-1, 2), conn, fe)
 
 
 def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
@@ -161,22 +161,17 @@ def solve(system):
 
     K_ff should be SPD: splu orders K + K^T by minimum degree and pivots on the diagonal.
     Other input raises SingularSystem or returns a solution the checks below verified."""
-    ndof = system.n_dofs
-    u = np.zeros(ndof)
-    cdofs = np.array(sorted(system.constrained), dtype=np.int64)
-    cvals = np.array([system.constrained[d] for d in cdofs])
-    u[cdofs] = cvals
-    mask = np.ones(ndof, dtype=bool)
-    mask[cdofs] = False
+    u = np.zeros(system.n_dofs)
+    u[list(system.constrained)] = list(system.constrained.values())
+    mask = np.ones(system.n_dofs, dtype=bool)
+    mask[list(system.constrained)] = False
     free = np.nonzero(mask)[0]
     if free.size == 0:
         return FieldSolution(system.mesh, u)
 
     K_f = system.stiffness[free]
     K_ff = K_f[:, free].tocsc()
-    rhs = system.load[free]
-    if cdofs.size:
-        rhs = rhs - K_f[:, cdofs] @ cvals
+    rhs = system.load[free] - K_f @ u  # u is zero on the free dofs: f_F - K_FC u_C
     del K_f  # release the full-width rows before the factors are allocated
     try:
         lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -189,7 +184,7 @@ def solve(system):
     # An exactly rank-deficient matrix can slip through factorisation with
     # roundoff-sized pivots; flag those explicitly.
     pivots = np.abs(lu.U.diagonal())
-    if pivots.size and pivots.min() <= 1e-13 * pivots.max():
+    if pivots.min() <= 1e-13 * pivots.max():
         raise SingularSystem("factorisation produced a negligible pivot")
     # One step of iterative refinement, then a backward-error check.  With
     # coefficient ratios up to 1e9 the plain load-relative residual floors
@@ -199,7 +194,7 @@ def solve(system):
     if not np.all(np.isfinite(u_f)):
         raise SingularSystem("solver produced non-finite values")
     r = rhs - K_ff @ u_f
-    norm_K = spla.norm(K_ff, np.inf) if K_ff.shape[0] else 0.0
+    norm_K = spla.norm(K_ff, np.inf)
     denom = max(norm_K * np.linalg.norm(u_f) + np.linalg.norm(rhs), 1e-300)
     residual = np.linalg.norm(r) / denom
     if residual > 1e-10:

@@ -5,7 +5,7 @@ repeated runs with the same configuration are byte-identical when written
 to CSV.  Failed rows are kept with an error marker instead of being dropped.
 """
 
-import io
+import functools
 import math
 from dataclasses import astuple, dataclass, field, replace
 
@@ -92,8 +92,7 @@ class ErrorReport:
         """Observed rate log(e1/e2)/log(h1/h2) per consecutive refinement pair."""
         self.sort()
         rows = []
-        prev = None
-        for row in self.rows:
+        for prev, row in zip([None] + self.rows, self.rows):
             rate = None
             if (
                 prev is not None
@@ -105,7 +104,6 @@ class ErrorReport:
             ):
                 rate = math.log(prev.h1_error / row.h1_error) / math.log(prev.h / row.h)
             rows.append(replace(row, rate=rate))
-            prev = row
         self.rows = rows
 
     def to_csv(self):
@@ -114,15 +112,10 @@ class ErrorReport:
                 return ""
             if isinstance(v, str):
                 return v
-            if isinstance(v, (int, np.integer)):
-                return str(int(v))
             return f"{float(v):.17g}"
 
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for r in self.rows:
-            buf.write(",".join(map(fmt, astuple(r))) + "\n")
-        return buf.getvalue()
+        lines = [CSV_HEADER] + [",".join(map(fmt, astuple(r))) for r in self.rows]
+        return "\n".join(lines) + "\n"
 
     @property
     def all_ok(self):
@@ -136,12 +129,12 @@ class ErrorReport:
 def _sweep(cfg, make_mesh, solve_row):
     """Rows over cfg's variants x p_list x angles x refine, sorted.
 
-    make_mesh(refine, order) builds each mesh once; solve_row(mesh, mp,
+    make_mesh(refine, order) runs once per pair; solve_row(mesh, mp,
     frame, variant) returns the row's result fields.  A row that fails for
     any reason keeps its inputs and an error marker.
     """
     report = ErrorReport()
-    meshes = {}
+    make_mesh = functools.cache(make_mesh)
     for variant in cfg.variants:
         for p in cfg.p_list:
             for angle in cfg.angles:
@@ -156,10 +149,7 @@ def _sweep(cfg, make_mesh, solve_row):
                             raise ValueError("inadmissible material")
                         mp = mat.derive_parameters(ec)
                         frame = mat.FibreFrame.from_angle(angle)
-                        key = (n, variant.order)
-                        if key not in meshes:
-                            meshes[key] = make_mesh(n, variant.order)
-                        mesh = meshes[key]
+                        mesh = make_mesh(n, variant.order)
                         row = replace(
                             row, h=mesh.h, dofs=2 * mesh.n_nodes,
                             **solve_row(mesh, mp, frame, variant),

@@ -2,8 +2,8 @@
 
 Subcommands: stability, material, cook, beam.  All numeric output uses 17
 significant digits; identical configurations produce byte-identical output.
-Exit codes: 0 success, 2 parse/config error, 3 material degeneracy,
-4 partial benchmark failure.
+Exit codes: 0 success, 2 parse/config error or an unwritable --out path,
+3 material degeneracy, 4 partial benchmark failure.
 """
 
 import argparse
@@ -11,7 +11,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 from . import material as mat
 from .benchmarks import (
@@ -134,15 +134,10 @@ def cmd_material(args):
         except ValueError as err:  # DegenerateDenominator, or mu_t <= 0
             print(str(err), file=sys.stderr)
             return 3
+        values = (p, args.q, args.nu_t, args.nu_l, *astuple(mp), mp.gamma, c1)
         lines.append(
-            ",".join(
-                [
-                    _fmt(p), _fmt(args.q), _fmt(args.nu_t), _fmt(args.nu_l),
-                    _fmt(mp.lam), _fmt(mp.mu_t), _fmt(mp.mu_l),
-                    _fmt(mp.alpha), _fmt(mp.beta), _fmt(mp.gamma), _fmt(c1),
-                    str(int(verdict.admissible)), "|".join(verdict.violated),
-                ]
-            )
+            ",".join(map(_fmt, values))
+            + f",{int(verdict.admissible)},{'|'.join(verdict.violated)}"
         )
     _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -246,7 +241,7 @@ def main(argv=None):
         return err.code if err.code else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(str(err), file=sys.stderr)
         return 2
 

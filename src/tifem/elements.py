@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .material import plane_strain_stiffness
+from .material import _in_plane, plane_strain_stiffness
 from .mesh import LOCAL_NODES
 
 
@@ -148,7 +148,7 @@ def _selector(term, frame):
         return np.array([1.0, 1.0, 0.0])
     if frame is None:
         raise ValueError("extensional term needs a fibre frame")
-    a1, a2 = frame.vec[:2]
+    a1, a2 = _in_plane(frame)
     return np.array([a1 * a1, a2 * a2, a1 * a2])
 
 

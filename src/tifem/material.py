@@ -217,15 +217,20 @@ def compliance_matrix_e3(ec):
     return S
 
 
+def _in_plane(frame):
+    """(a1, a2) of an in-plane unit fibre; any other fibre raises ValueError."""
+    if abs(np.linalg.norm(frame.vec[:2]) - 1.0) > 1e-14:
+        raise ValueError("plane strain needs an in-plane unit fibre")
+    return frame.vec[:2]
+
+
 def plane_strain_stiffness(mp, frame):
     """3x3 Voigt stiffness (11, 22, 12; engineering shear) for in-plane fibre.
 
     Direct restriction of the stress-strain law to in-plane tensors with
     in-plane fibre direction; this is what the element integrands use.
     """
-    if abs(np.linalg.norm(frame.vec[:2]) - 1.0) > 1e-14:
-        raise ValueError("plane-strain stiffness needs an in-plane unit fibre")
-    a1, a2 = frame.vec[:2]
+    a1, a2 = _in_plane(frame)
     lam, mu_t = mp.lam, mp.mu_t
     alpha, beta, gamma = mp.alpha, mp.beta, mp.gamma
     C = np.empty((3, 3))

@@ -123,13 +123,12 @@ def cook_mesh(n, order=1):
     p00, p10, p11, p01 = COOK_CORNERS
 
     def mapping(s, t):
-        w = (
+        return (
             np.outer((1 - s) * (1 - t), p00)
             + np.outer(s * (1 - t), p10)
             + np.outer(s * t, p11)
             + np.outer((1 - s) * t, p01)
         )
-        return w
 
     mesh = _structured_mesh(n, n, order, mapping)
     tip = int(np.argmin(((mesh.nodes - p11) ** 2).sum(axis=1)))

@@ -200,6 +200,18 @@ class TestDirichletAndSolve:
         with pytest.raises(SingularSystem):
             solve(system)
 
+    @pytest.mark.parametrize("load, left", [
+        ((np.nan, 0.0), (0.0, 0.0)),
+        ((1.0, 0.0), (np.nan, 0.0)),
+    ], ids=["nan-load", "nan-dirichlet"])
+    def test_non_finite_data_is_rejected(self, load, left):
+        # NaN in f_F or in u_C reaches the right-hand side f_F - K_F u
+        mesh = rectangle_mesh(2.0, 1.0, 2, 1, order=1)
+        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, tractions={"right": load})
+        apply_dirichlet(system, {"left": left})
+        with pytest.raises(SingularSystem, match="^solver produced non-finite values$"):
+            solve(system)
+
     @pytest.mark.parametrize("variant", list(V))
     @pytest.mark.parametrize("p, nu", [(1.0001, 0.49995), (1e5, 0.49999)])
     def test_distorted_mesh_against_dense_oracle(self, variant, p, nu):

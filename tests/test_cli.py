@@ -317,6 +317,31 @@ class TestArgparseErrors:
         assert "error: argument" in capsys.readouterr().err
 
 
+class TestStrictOnAdmissibleInput:
+    @pytest.mark.parametrize("argv", [
+        ["material", "--p", "1.5,2,5"],
+        ["cook", "--p", "2", "--variants", "Q1_CG", "--refine", "4"],
+    ], ids=" ".join)
+    def test_same_bytes_as_without_strict(self, argv, tmp_path):
+        plain, strict = tmp_path / "plain.csv", tmp_path / "strict.csv"
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + ["--strict", "--out", str(strict)]) == 0
+        assert strict.read_bytes() == plain.read_bytes()
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["material"],
+        ["stability", "--p-steps", "2", "--nu-steps", "2"],
+        ["cook", "--p", "2", "--variants", "Q1_CG", "--refine", "2"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_exits_2_with_the_message(self, argv, target, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+        assert main(argv + ["--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
+
 class TestDefaults:
     @pytest.mark.parametrize("command,config", [("cook", CookConfig), ("beam", BeamConfig)])
     def test_flags_default_to_config(self, command, config):

@@ -16,6 +16,8 @@ from tifem import (
     derive_parameters,
     element_stiffness,
     error_bound_constant,
+    one_point_term,
+    p0_projected_term,
     plane_strain_compliance,
     plane_strain_stiffness,
     rectangle_mesh,
@@ -108,8 +110,12 @@ class TestStability:
             (EngineeringConstants(-1.0, 2.0, 1.0, 0.3, 0.3), ("shear_ordering",)),
             (EngineeringConstants(0.0, 2.0, 1.0, 0.3, 0.3), ("shear_ordering",)),
             (EngineeringConstants(1.0, 2.0, 0.5, 0.3, 0.3), ("shear_ordering",)),
+            (EngineeringConstants(1.0, 0.0, 1.0, 0.3, 0.3),
+             ("p_positive", "discriminant", "denominator")),
+            (EngineeringConstants(1.0, -1.0, 1.0, 0.3, 0.3),
+             ("p_positive", "discriminant", "denominator")),
         ],
-        ids=["nu_t=-1", "nu_t<-1", "E_t<0", "E_t=0", "q<1"],
+        ids=["nu_t=-1", "nu_t<-1", "E_t<0", "E_t=0", "q<1", "p=0", "p<0"],
     )
     def test_violated_at_the_edges(self, ec, violated):
         verdict = check_stability(ec)
@@ -273,6 +279,10 @@ class TestPlaneStrain:
             element_stiffness(mesh.nodes[mesh.elements], mp, frame, FormulationVariant.Q1_CG)
         with pytest.raises(ValueError, match=message):
             assemble(mesh, mp, frame, FormulationVariant.Q1_CG_UI_beta)
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        for term in (one_point_term, p0_projected_term):
+            with pytest.raises(ValueError, match=message):
+                term(square, 1.0, "extensional", frame)
 
     def test_singular_stiffness_raises(self):
         mp = MaterialParameters(lam=0.0, mu_t=0.0, mu_l=0.0, alpha=0.0, beta=0.0)
