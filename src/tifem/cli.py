@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse/config error or an unwritable --out path,
 """
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -73,12 +74,19 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _write(path, text):
+@contextlib.contextmanager
+def _output(path):
+    """The --out file, opened (and emptied) for writing, or stdout."""
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write(path, text):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def stability_grid(p_min, p_max, p_steps, nu_min, nu_max, nu_steps):
@@ -97,15 +105,19 @@ def cmd_stability(args):
     ps, nus = stability_grid(
         args.p_min, args.p_max, args.p_steps, args.nu_min, args.nu_max, args.nu_steps
     )
+    nu_cells = [f",{_fmt(nu)}," for nu in nus]
+    tails = {}  # the "admissible,violated" cells, keyed by the violated tuple
     lines = ["p,nu,admissible,violated"]
     for p in ps:
-        for nu in nus:
-            ec = mat.EngineeringConstants(1.0, p, args.q, nu, nu)
-            verdict = mat.check_stability(ec)
-            lines.append(
-                f"{_fmt(p)},{_fmt(nu)},{int(verdict.admissible)},"
-                + "|".join(verdict.violated)
-            )
+        p_cell = _fmt(p)
+        for nu, nu_cell in zip(nus, nu_cells):
+            verdict = mat.check_stability(mat.EngineeringConstants(1.0, p, args.q, nu, nu))
+            tail = tails.get(verdict.violated)
+            if tail is None:
+                tail = tails[verdict.violated] = (
+                    f"{int(verdict.admissible)},{'|'.join(verdict.violated)}"
+                )
+            lines.append(p_cell + nu_cell + tail)
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -150,8 +162,9 @@ def cmd_sweep(args):
     cfg = args.config_class(
         **{f.name: getattr(args, f.name) for f in fields(args.config_class)}
     )
-    report = args.run(cfg)
-    _write(args.out, report.to_csv())
+    with _output(args.out) as fh:  # an unwritable --out fails before the sweep
+        report = args.run(cfg)
+        fh.write(report.to_csv())
     return 0 if report.all_ok else 4
 
 

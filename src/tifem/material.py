@@ -88,20 +88,8 @@ class FibreFrame:
         return np.asarray(self.a, dtype=float)
 
 
-# Identifiers for the five pointwise-stability conditions.
-COND_P_POSITIVE = "p_positive"
-COND_SHEAR_ORDERING = "shear_ordering"
-COND_NU_T_BOUND = "nu_t_bound"
-COND_DISCRIMINANT = "discriminant"
-COND_DENOMINATOR = "denominator"
-
-ALL_CONDITIONS = (
-    COND_P_POSITIVE,
-    COND_SHEAR_ORDERING,
-    COND_NU_T_BOUND,
-    COND_DISCRIMINANT,
-    COND_DENOMINATOR,
-)
+# Identifiers for the five pointwise-stability conditions, in check order.
+ALL_CONDITIONS = ("p_positive", "shear_ordering", "nu_t_bound", "discriminant", "denominator")
 
 
 @dataclass(frozen=True)
@@ -136,30 +124,37 @@ def derive_parameters(ec):
     return MaterialParameters(lam=lam, mu_t=ec.mu_t, mu_l=ec.mu_l, alpha=alpha, beta=beta)
 
 
+# The verdict for each set of violated conditions; bit i of the index
+# stands for ALL_CONDITIONS[i].
+_VERDICTS = tuple(
+    StabilityVerdict(tuple(c for i, c in enumerate(ALL_CONDITIONS) if mask >> i & 1))
+    for mask in range(2 ** len(ALL_CONDITIONS))
+)
+
+
 def check_stability(ec):
     """Certify the sufficient pointwise-stability conditions.
 
     The five conditions: p > 0; mu_l >= mu_t > 0; nu_t > -1;
     (2 nu_t + 1) p - (2 nu_l + 1) > 0; (1 - nu_t) p - 2 nu_l^2 > 0.
     NaN inputs produce a verdict with every condition violated.
+    Verdicts are shared immutable values from a 32-entry table, one per
+    set of violated conditions.
     """
-    vals = (ec.E_t, ec.p, ec.q, ec.nu_t, ec.nu_l)
-    if any(math.isnan(v) for v in vals):
-        return StabilityVerdict(ALL_CONDITIONS)
-
-    violated = []
-    if not ec.p > 0.0:
-        violated.append(COND_P_POSITIVE)
-    mu_t = ec.mu_t if ec.nu_t != -1.0 else math.inf
-    if not (ec.q * mu_t >= mu_t > 0.0):
-        violated.append(COND_SHEAR_ORDERING)
-    if not ec.nu_t > -1.0:
-        violated.append(COND_NU_T_BOUND)
-    if not (2.0 * ec.nu_t + 1.0) * ec.p - (2.0 * ec.nu_l + 1.0) > 0.0:
-        violated.append(COND_DISCRIMINANT)
-    if not (1.0 - ec.nu_t) * ec.p - 2.0 * ec.nu_l**2 > 0.0:
-        violated.append(COND_DENOMINATOR)
-    return StabilityVerdict(tuple(violated))
+    E_t, p, q, nu_t, nu_l = ec.E_t, ec.p, ec.q, ec.nu_t, ec.nu_l
+    if (math.isnan(E_t) or math.isnan(p) or math.isnan(q)
+            or math.isnan(nu_t) or math.isnan(nu_l)):
+        return _VERDICTS[-1]
+    # EngineeringConstants.mu_t, written out on the local floats
+    mu_t = E_t / (2.0 * (1.0 + nu_t)) if nu_t != -1.0 else math.inf
+    mask = (
+        (not p > 0.0)
+        + 2 * (not q * mu_t >= mu_t > 0.0)
+        + 4 * (not nu_t > -1.0)
+        + 8 * (not (2.0 * nu_t + 1.0) * p - (2.0 * nu_l + 1.0) > 0.0)
+        + 16 * (not (1.0 - nu_t) * p - 2.0 * nu_l**2 > 0.0)
+    )
+    return _VERDICTS[mask]
 
 
 def stiffness_apply(mp, frame, eps):

@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from tifem.cli import (
+    _fmt,
     build_parser,
     main,
     parse_angle,
@@ -13,6 +14,7 @@ from tifem.cli import (
     stability_grid,
 )
 from tifem.benchmarks import CSV_HEADER, DEFAULT_ANGLES, BeamConfig, CookConfig
+from tifem.material import ALL_CONDITIONS, EngineeringConstants, check_stability
 
 
 class TestParsing:
@@ -101,6 +103,29 @@ class TestStabilityCommand:
             assert main(argv + ["--out", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_rows_match_the_per_row_form(self, q, capsys):
+        grid = dict(p_min=-1.0, p_max=3.0, p_steps=40, nu_min=-1.5, nu_max=1.0, nu_steps=50)
+        argv = ["stability", f"--q={q}"] + [
+            f"--{name.replace('_', '-')}={value}" for name, value in grid.items()
+        ]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        expected = ["p,nu,admissible,violated"]
+        ps, nus = stability_grid(**grid)
+        for p in ps:
+            for nu in nus:
+                verdict = check_stability(EngineeringConstants(1.0, p, q, nu, nu))
+                expected.append(
+                    f"{_fmt(p)},{_fmt(nu)},{int(verdict.admissible)},"
+                    + "|".join(verdict.violated)
+                )
+        assert rows == expected
+        # the grid crosses every condition's boundary
+        violated = {c for row in rows[1:] for c in row.split(",")[3].split("|")}
+        assert violated - {""} == set(ALL_CONDITIONS)
+        assert ("" in violated) == (q == 1.0)
 
 
 class TestMaterialCommand:
@@ -340,6 +365,19 @@ class TestUnwritableOut:
         out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
         assert main(argv + ["--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
+
+    def test_sweep_does_not_start(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def run_cook(cfg):
+            calls.append(cfg)
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr("tifem.cli.run_cook", run_cook)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["cook", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
 
 
 class TestDefaults:

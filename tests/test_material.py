@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tifem import (
     DegenerateDenominator,
@@ -10,6 +11,7 @@ from tifem import (
     FormulationVariant,
     MaterialParameters,
     SingularStiffness,
+    StabilityVerdict,
     check_stability,
     compliance_matrix_e3,
     assemble,
@@ -24,6 +26,7 @@ from tifem import (
     stiffness_apply,
     stiffness_matrix_e3,
 )
+from tifem.material import ALL_CONDITIONS
 from conftest import sample_admissible
 
 E3 = FibreFrame((0.0, 0.0, 1.0))
@@ -139,6 +142,57 @@ class TestStability:
                     continue
                 energy = float(np.tensordot(e, stiffness_apply(mp, E3, e)))
                 assert energy > 0.0
+
+
+def list_form_violated(ec):
+    """check_stability as it was before the verdict table, kept as the oracle."""
+    vals = (ec.E_t, ec.p, ec.q, ec.nu_t, ec.nu_l)
+    if any(math.isnan(v) for v in vals):
+        return ALL_CONDITIONS
+
+    violated = []
+    if not ec.p > 0.0:
+        violated.append("p_positive")
+    mu_t = ec.mu_t if ec.nu_t != -1.0 else math.inf
+    if not (ec.q * mu_t >= mu_t > 0.0):
+        violated.append("shear_ordering")
+    if not ec.nu_t > -1.0:
+        violated.append("nu_t_bound")
+    if not (2.0 * ec.nu_t + 1.0) * ec.p - (2.0 * ec.nu_l + 1.0) > 0.0:
+        violated.append("discriminant")
+    if not (1.0 - ec.nu_t) * ec.p - 2.0 * ec.nu_l**2 > 0.0:
+        violated.append("denominator")
+    return tuple(violated)
+
+
+# Any float, with NaN, the infinities, both zeros and nu_t = -1 drawn often.
+any_float = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 0.5]),
+    st.floats(),
+)
+
+
+class TestVerdictTable:
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(E_t=any_float, p=any_float, q=any_float, nu_t=any_float, nu_l=any_float)
+    def test_matches_the_list_form(self, E_t, p, q, nu_t, nu_l):
+        ec = EngineeringConstants(E_t, p, q, nu_t, nu_l)
+        try:
+            expected = StabilityVerdict(list_form_violated(ec))
+        except OverflowError:
+            # nu_l**2 past the float range raises in both forms
+            with pytest.raises(OverflowError):
+                check_stability(ec)
+            return
+        verdict = check_stability(ec)
+        assert verdict == expected
+        assert hash(verdict) == hash(expected)
+        assert verdict.admissible == (not verdict.violated)
+
+    def test_verdicts_are_shared(self):
+        a = check_stability(EngineeringConstants(1.0, 2.0, 1.0, 0.3, 0.3))
+        b = check_stability(EngineeringConstants(5.0, 3.0, 1.5, 0.2, 0.1))
+        assert a.admissible and a is b
 
 
 class TestStiffnessApply:
