@@ -5,6 +5,7 @@ from .material import (
     EngineeringConstants,
     FibreFrame,
     MaterialParameters,
+    ParameterOverflow,
     SingularStiffness,
     StabilityVerdict,
     check_stability,

@@ -22,7 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import FormulationVariant, _lagrange_1d, element_stiffness, geometry
+from .elements import (
+    FormulationVariant, _lagrange_1d, element_stiffness, gauss_rule_1d, geometry,
+)
 
 
 class UnknownBoundaryTag(KeyError):
@@ -112,7 +114,7 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
 
     if tractions:
         # edge rule with order + 1 points (exact for the traction data used here)
-        pts_1d, wts_1d = np.polynomial.legendre.leggauss(mesh.order + 1)
+        pts_1d, wts_1d = gauss_rule_1d(mesh.order + 1)
         vals, ders = _lagrange_1d(mesh.order, pts_1d)
         for tag, spec in tractions.items():
             if tag not in mesh.boundary_edges:
@@ -194,13 +196,19 @@ def solve(system):
     if not np.all(np.isfinite(u_f)):
         raise SingularSystem("solver produced non-finite values")
     r = rhs - K_ff @ u_f
-    norm_K = spla.norm(K_ff, np.inf)
+    norm_K = _norm_inf(K_ff)
     denom = max(norm_K * np.linalg.norm(u_f) + np.linalg.norm(rhs), 1e-300)
     residual = np.linalg.norm(r) / denom
     if residual > 1e-10:
         raise SingularSystem(f"backward error {residual} exceeds 1e-10")
     u[free] = u_f
     return FieldSolution(system.mesh, u)
+
+
+def _norm_inf(A):
+    """Infinity norm (largest absolute row sum) of a CSC matrix, from its
+    arrays: spla.norm(A, np.inf) would first build an absolute-value copy."""
+    return np.bincount(A.indices, np.abs(A.data), A.shape[0]).max()
 
 
 def h1_error(solution, exact_u, exact_grad, relative=False):

@@ -130,11 +130,15 @@ def _sweep(cfg, make_mesh, solve_row):
     """Rows over cfg's variants x p_list x angles x refine, sorted.
 
     make_mesh(refine, order) runs once per pair; solve_row(mesh, mp,
-    frame, variant) returns the row's result fields.  A row that fails for
-    any reason keeps its inputs and an error marker.
+    frame, variant) returns the row's result fields.  Rows with equal
+    refine, p, angle, order and reduced terms have the same operator and
+    share one solve_row call, as Q1_CG_UI_beta and Q1_MIXED_P0_beta do.  A
+    row that fails for any reason keeps its inputs and an error marker; a
+    failed solve is not shared, so the next row with its key tries again.
     """
     report = ErrorReport()
     make_mesh = functools.cache(make_mesh)
+    solved = {}
     for variant in cfg.variants:
         for p in cfg.p_list:
             for angle in cfg.angles:
@@ -150,9 +154,11 @@ def _sweep(cfg, make_mesh, solve_row):
                         mp = mat.derive_parameters(ec)
                         frame = mat.FibreFrame.from_angle(angle)
                         mesh = make_mesh(n, variant.order)
+                        key = (n, variant.order, variant.reduced, p, angle)
+                        if key not in solved:
+                            solved[key] = solve_row(mesh, mp, frame, variant)
                         row = replace(
-                            row, h=mesh.h, dofs=2 * mesh.n_nodes,
-                            **solve_row(mesh, mp, frame, variant),
+                            row, h=mesh.h, dofs=2 * mesh.n_nodes, **solved[key]
                         )
                     except Exception as err:  # noqa: BLE001 - per-row error marker
                         row = replace(row, status=f"error:{type(err).__name__}")

@@ -143,7 +143,7 @@ def cmd_material(args):
         try:
             mp = mat.derive_parameters(ec)
             c1 = mat.error_bound_constant(mp)
-        except ValueError as err:  # DegenerateDenominator, or mu_t <= 0
+        except ValueError as err:  # DegenerateDenominator, ParameterOverflow, mu_t <= 0
             print(str(err), file=sys.stderr)
             return 3
         values = (p, args.q, args.nu_t, args.nu_l, *astuple(mp), mp.gamma, c1)

@@ -35,16 +35,20 @@ class FormulationVariant(enum.Enum):
     def order(self):
         return 2 if self is FormulationVariant.Q2_CG else 1
 
+    @property
+    def reduced(self):
+        """Coefficients of the terms this variant reduces to (int g)(int g)^T / |E|.
 
-# Coefficients of the terms each variant reduces to (int g)(int g)^T / |E|.
-_REDUCED_TERMS = {
-    FormulationVariant.Q1_CG: (),
-    FormulationVariant.Q2_CG: (),
-    FormulationVariant.Q1_CG_UI_lambda: ("lam",),
-    FormulationVariant.Q1_CG_UI_beta: ("beta",),
-    FormulationVariant.Q1_CG_UI_betalambda: ("lam", "beta"),
-    FormulationVariant.Q1_MIXED_P0_beta: ("beta",),
-}
+        Variants with equal order and reduced terms have equal stiffness:
+        Q1_MIXED_P0_beta builds the matrix of Q1_CG_UI_beta."""
+        return {
+            "Q1_CG_UI_lambda": ("lam",),
+            "Q1_CG_UI_beta": ("beta",),
+            "Q1_CG_UI_betalambda": ("lam", "beta"),
+            "Q1_MIXED_P0_beta": ("beta",),
+        }.get(self.value, ())
+
+
 # Coefficient of each reducible term by its public name.
 _COEFFICIENT = {"volumetric": "lam", "extensional": "beta"}
 
@@ -56,9 +60,17 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=None)
+def gauss_rule_1d(n):
+    """Gauss-Legendre points and weights with n points on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=None)
 def gauss_rule(n):
     """Tensor-product Gauss-Legendre rule with n points per direction."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_rule_1d(n)
     pts = np.array([(xi, eta) for eta in x for xi in x])
     wts = np.array([wi * wj for wj in w for wi in w])
     return QuadratureRule(points=pts, weights=wts)
@@ -172,7 +184,7 @@ def element_stiffness(coords, mp, frame, variant):
         raise ValueError(
             f"{variant.value} expects {n_expected} nodes, got shape {coords.shape}"
         )
-    reduced = _REDUCED_TERMS[variant]
+    reduced = variant.reduced
     D = plane_strain_stiffness(replace(mp, **dict.fromkeys(reduced, 0.0)), frame)
     _, dN, wdet = geometry(coords.reshape(-1, n_expected, 2), order, order + 1)
     B = _strain_matrix(dN)

@@ -17,6 +17,10 @@ class DegenerateDenominator(ValueError):
     """Parameter conversion hit a (near-)zero denominator."""
 
 
+class ParameterOverflow(ValueError):
+    """Parameter conversion overflowed the float range."""
+
+
 class SingularStiffness(ValueError):
     """Plane-strain stiffness is numerically singular."""
 
@@ -106,20 +110,27 @@ def derive_parameters(ec):
 
     Raises DegenerateDenominator when the shared denominator
     (1 + nu_t)((1 - nu_t) p - 2 nu_l^2) is numerically zero, which happens
-    on the stability boundary.
+    on the stability boundary, and ParameterOverflow when a square of an
+    input leaves the float range.
     """
     p, q, nu_t, nu_l, E_t = ec.p, ec.q, ec.nu_t, ec.nu_l, ec.E_t
-    d = (1.0 + nu_t) * ((1.0 - nu_t) * p - 2.0 * nu_l**2)
+    try:
+        p_sq, nu_t_sq, nu_l_sq = p**2, nu_t**2, nu_l**2
+    except OverflowError as err:
+        raise ParameterOverflow(
+            f"parameters overflow the float range for p={p}, nu_t={nu_t}, nu_l={nu_l}"
+        ) from err
+    d = (1.0 + nu_t) * ((1.0 - nu_t) * p - 2.0 * nu_l_sq)
     if abs(d) < 1e-14 * max(1.0, abs(p)):
         raise DegenerateDenominator(
             f"parameter denominator {d} vanishes for p={p}, nu_t={nu_t}, nu_l={nu_l}"
         )
-    lam = (nu_t * p + nu_l**2) / d * E_t
-    alpha = ((nu_l - nu_t + nu_t * nu_l) * p - nu_l**2) / d * E_t
+    lam = (nu_t * p + nu_l_sq) / d * E_t
+    alpha = ((nu_l - nu_t + nu_t * nu_l) * p - nu_l_sq) / d * E_t
     beta = (
-        (1.0 - nu_t**2) * p**2
+        (1.0 - nu_t_sq) * p_sq
         + (-2.0 * nu_t * nu_l + 2.0 * q * nu_t - 2.0 * nu_l + 1.0 - 2.0 * q) * p
-        - (1.0 - 4.0 * q) * nu_l**2
+        - (1.0 - 4.0 * q) * nu_l_sq
     ) / d * E_t
     return MaterialParameters(lam=lam, mu_t=ec.mu_t, mu_l=ec.mu_l, alpha=alpha, beta=beta)
 
@@ -137,7 +148,8 @@ def check_stability(ec):
 
     The five conditions: p > 0; mu_l >= mu_t > 0; nu_t > -1;
     (2 nu_t + 1) p - (2 nu_l + 1) > 0; (1 - nu_t) p - 2 nu_l^2 > 0.
-    NaN inputs produce a verdict with every condition violated.
+    NaN inputs produce a verdict with every condition violated; a nu_l^2
+    past the float range counts as +inf, which violates the last condition.
     Verdicts are shared immutable values from a 32-entry table, one per
     set of violated conditions.
     """
@@ -147,12 +159,16 @@ def check_stability(ec):
         return _VERDICTS[-1]
     # EngineeringConstants.mu_t, written out on the local floats
     mu_t = E_t / (2.0 * (1.0 + nu_t)) if nu_t != -1.0 else math.inf
+    try:
+        nu_l_sq = nu_l**2
+    except OverflowError:
+        nu_l_sq = math.inf
     mask = (
         (not p > 0.0)
         + 2 * (not q * mu_t >= mu_t > 0.0)
         + 4 * (not nu_t > -1.0)
         + 8 * (not (2.0 * nu_t + 1.0) * p - (2.0 * nu_l + 1.0) > 0.0)
-        + 16 * (not (1.0 - nu_t) * p - 2.0 * nu_l**2 > 0.0)
+        + 16 * (not (1.0 - nu_t) * p - 2.0 * nu_l_sq > 0.0)
     )
     return _VERDICTS[mask]
 

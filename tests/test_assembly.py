@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from tifem import (
     FibreFrame,
@@ -22,6 +23,7 @@ from tifem import (
     solve,
 )
 from tifem import EngineeringConstants
+from tifem.assembly import _norm_inf
 from conftest import sample_admissible
 
 V = FormulationVariant
@@ -192,6 +194,13 @@ class TestDirichletAndSolve:
             return
         u_oracle = np.linalg.solve(K, load)
         assert np.abs(u - u_oracle).max() <= 1e-12 * np.abs(u_oracle).max()
+
+    def test_backward_error_norm_is_the_row_sum_norm(self):
+        # largest absolute row sum 7 (row 1), largest column sum 9 (column 2)
+        A = sp.csc_matrix([[1.0, 0.0, -4.0], [2.0, 0.0, 5.0], [0.0, 0.0, 0.0]])
+        assert spla.norm(A, 1) == 9.0
+        assert _norm_inf(A) == pytest.approx(spla.norm(A, np.inf), rel=1e-15, abs=0.0)
+        assert _norm_inf(A) == 7.0
 
     def test_single_pinned_node_is_singular(self):
         mesh = rectangle_mesh(2.0, 1.0, 2, 2, order=1)

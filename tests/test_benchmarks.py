@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tifem import (
     FormulationVariant,
     MissingReference,
     ReportRow,
+    SingularSystem,
     beam_edge_profile,
     beam_exact,
     derive_parameters,
@@ -20,6 +22,7 @@ from tifem import (
     plane_strain_stiffness,
     run_beam,
     run_cook,
+    solve,
 )
 from tifem import EngineeringConstants
 
@@ -160,6 +163,57 @@ class TestRunCook:
     def test_determinism(self):
         cfg = CookConfig(p_list=(2.0,), refine=(4,), variants=(V.Q1_CG,))
         assert run_cook(cfg).to_csv() == run_cook(cfg).to_csv()
+
+
+class TestSharedSolve:
+    """Q1_MIXED_P0_beta has Q1_CG_UI_beta's operator, so its rows take that
+    variant's solve; every other row solves its own."""
+
+    def test_mixed_rows_equal_the_unshared_sweep(self):
+        shared = [r for r in run_cook(CookConfig()).rows if r.variant == "Q1_MIXED_P0_beta"]
+        alone = run_cook(CookConfig(variants=(V.Q1_MIXED_P0_beta,))).rows
+        assert len(shared) == len(alone) == len(CookConfig().p_list)
+        assert shared == alone
+
+    def test_every_row_equals_its_one_row_sweep(self):
+        # two values of each key field, so a key that merged distinct
+        # operators shows; a one-row sweep has nothing to share
+        cfg = CookConfig(p_list=(2.0, 1e4), angles=(0.0, math.pi / 3), refine=(2, 4))
+        for row in run_cook(cfg).rows:
+            one = replace(cfg, variants=(V(row.variant),), p_list=(row.p,),
+                          angles=(row.angle,), refine=(row.refine,))
+            assert run_cook(one).rows == [row]
+
+    @pytest.mark.parametrize("run, cfg, rows, calls", [
+        (run_cook, CookConfig(), 36, 30),
+        (run_beam, BeamConfig(), 72, 60),
+    ], ids=["cook", "beam"])
+    def test_one_solve_per_operator(self, run, cfg, rows, calls, monkeypatch):
+        count = []
+
+        def counting_solve(system):
+            count.append(system.variant)
+            return solve(system)
+
+        monkeypatch.setattr("tifem.benchmarks.solve", counting_solve)
+        report = run(cfg)
+        assert report.all_ok and len(report.rows) == rows
+        assert len(count) == calls
+        assert V.Q1_MIXED_P0_beta not in count
+
+    def test_failed_solve_is_not_shared(self, monkeypatch):
+        count = []
+
+        def failing_solve(system):
+            count.append(system.variant)
+            raise SingularSystem("no solution")
+
+        monkeypatch.setattr("tifem.benchmarks.solve", failing_solve)
+        cfg = CookConfig(p_list=(2.0,), refine=(2,),
+                         variants=(V.Q1_CG_UI_beta, V.Q1_MIXED_P0_beta))
+        report = run_cook(cfg)
+        assert [r.status for r in report.rows] == ["error:SingularSystem"] * 2
+        assert count == [V.Q1_CG_UI_beta, V.Q1_MIXED_P0_beta]
 
 
 class TestErrorReport:

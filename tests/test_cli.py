@@ -91,6 +91,14 @@ class TestStabilityCommand:
         assert len(rows) == 2
         assert all(r.split(",")[2] == "0" and "nu_t_bound" in r for r in rows)
 
+    def test_overflowing_nu_is_a_verdict(self, capsys):
+        # the single nu cell, about 5e199, squares past the float range
+        argv = ["stability", "--nu-max", "1e200", "--p-steps", "1", "--nu-steps", "1"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 1
+        assert rows[0].endswith(",0,denominator")
+
     def test_malformed_grid(self, capsys):
         assert main(["stability", "--p-steps", "0"]) == 2
         assert "malformed" in capsys.readouterr().err
@@ -156,6 +164,11 @@ class TestMaterialCommand:
         # --Et -1 makes mu_t negative; --nu-t -1 zeroes the parameter denominator
         assert main(["material", flag, "-1"]) == 3
         assert capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize("flag", ["--nu-l", "--p"])
+    def test_overflowing_input_exits_3(self, flag, capsys):
+        assert main(["material", flag, "1e200"]) == 3
+        assert "overflow" in capsys.readouterr().err
 
     def test_non_strict_flags_inadmissible_row(self, capsys):
         code = main(["material", "--p", "0.5", "--nu-t", "0.3", "--nu-l", "0.3"])
