@@ -4,7 +4,10 @@ Degrees of freedom are interleaved: node i owns dofs (2i, 2i+1) for the
 x and y displacement components.  Dirichlet constraints are eliminated at
 solve time: the free dofs F solve K_FF u_F = f_F - K_F u, where K_F is the
 rows F of K and u holds the prescribed values, zero on F.  The assembled
-matrix always covers all dofs.
+matrix always covers all dofs.  F lists the free dofs node by node in the
+mesh's nested-dissection order (`QuadMesh.dissection`), so K_FF is sliced
+already permuted and factorised with no further ordering; a system with no
+mesh keeps its own dof order.
 
 Field functions (body force, tractions, Dirichlet data, exact solutions) are
 called once each as func(x, y) on coordinate arrays of quadrature points
@@ -161,13 +164,19 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
 def solve(system):
     """Direct sparse solve with symmetric elimination of constrained dofs.
 
-    K_ff should be SPD: splu orders K + K^T by minimum degree and pivots on the diagonal.
-    Other input raises SingularSystem or returns a solution the checks below verified."""
+    K_ff should be SPD: the free dofs are taken in the mesh's nested-dissection
+    order (a system with no mesh keeps its own dof order), and splu factorises
+    K_ff in that order with diagonal pivots.  Other input raises
+    SingularSystem or returns a solution the checks below verified."""
     u = np.zeros(system.n_dofs)
     u[list(system.constrained)] = list(system.constrained.values())
     mask = np.ones(system.n_dofs, dtype=bool)
     mask[list(system.constrained)] = False
-    free = np.nonzero(mask)[0]
+    if system.mesh is None:
+        dofs = np.arange(system.n_dofs)
+    else:
+        dofs = (2 * system.mesh.dissection[:, None] + [0, 1]).ravel()
+    free = dofs[mask[dofs]]
     if free.size == 0:
         return FieldSolution(system.mesh, u)
 
@@ -176,7 +185,7 @@ def solve(system):
     rhs = system.load[free] - K_f @ u  # u is zero on the free dofs: f_F - K_FC u_C
     del K_f  # release the full-width rows before the factors are allocated
     try:
-        lu = spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(K_ff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
         u_f = lu.solve(rhs)
     except RuntimeError as err:

@@ -257,19 +257,23 @@ def plane_strain_stiffness(mp, frame):
 def plane_strain_compliance(mp, frame):
     """3x3 plane-strain compliance: cofactor inverse of plane_strain_stiffness.
 
-    Used by the beam's analytical solution.
+    Used by the beam's analytical solution.  C is scaled by 2^-k, with 2^k
+    the binary order of its largest entry, before the cofactors are taken:
+    the scaling is exact, and the cubes in the determinant cannot overflow.
     """
-    (c11, c12, c13), (_, c22, c23), (_, _, c33) = plane_strain_stiffness(mp, frame)
+    C = plane_strain_stiffness(mp, frame)
+    k = math.frexp(np.abs(C).max())[1]
+    (c11, c12, c13), (_, c22, c23), (_, _, c33) = np.ldexp(C, -k)
     det = (
         c11 * (c22 * c33 - c23**2)
         - c12 * (c12 * c33 - c13 * c23)
         + c13 * (c12 * c23 - c13 * c22)
     )
-    scale = (
-        abs(mp.lam) + 2.0 * mp.mu_t + abs(mp.alpha) + abs(mp.beta) + abs(mp.gamma)
+    scale = math.ldexp(
+        abs(mp.lam) + 2.0 * mp.mu_t + abs(mp.alpha) + abs(mp.beta) + abs(mp.gamma), -k
     ) ** 3
     if abs(det) <= 1e-14 * scale:
-        raise SingularStiffness(f"plane-strain stiffness determinant {det} ~ 0")
+        raise SingularStiffness(f"plane-strain stiffness determinant {det} * 2**{3 * k} ~ 0")
 
     S = np.empty((3, 3))
     S[0, 0] = c22 * c33 - c23**2
@@ -278,7 +282,7 @@ def plane_strain_compliance(mp, frame):
     S[1, 1] = c11 * c33 - c13**2
     S[1, 2] = S[2, 1] = c12 * c13 - c11 * c23
     S[2, 2] = c11 * c22 - c12**2
-    return S / det
+    return np.ldexp(S / det, -k)
 
 
 def error_bound_constant(mp):

@@ -4,6 +4,14 @@ Local nodes follow LOCAL_NODES: Q1 elements carry its first 4 rows, the
 corners counterclockwise; Q2 elements append the 4 midside nodes (one per
 edge, same ordering) and the center node.  Local edges: 0 = bottom (nodes
 0-1), 1 = right (1-2), 2 = top (2-3), 3 = left (3-0).
+
+Every mesh is a structured grid, and QuadMesh.dissection holds a nested-
+dissection elimination order of its nodes (George, SIAM J. Numer. Anal.
+10(2), 1973): a grid line of element edges separates the nodes on either
+side exactly, so each block of the grid is cut across its longer side at the
+middle such line, its two halves are ordered first and the line last, down
+to blocks with no interior element-edge line.  The linear solve factorises
+in this order.
 """
 
 from dataclasses import dataclass
@@ -27,6 +35,7 @@ class QuadMesh:
     boundary_nodes: dict         # tag -> sorted node index list
     h: float                     # max element diameter
     order: int                   # 1 or 2
+    dissection: np.ndarray       # (n_nodes,) node elimination order
 
     @property
     def n_nodes(self):
@@ -93,10 +102,43 @@ def _structured_mesh(nx, ny, order, mapping):
         boundary_nodes={},
         h=h,
         order=order,
+        dissection=_dissection(mx, my, order),
     )
     for tag, pairs in boundary_edges.items():
         mesh.boundary_nodes[tag] = np.unique(mesh.edge_nodes(*np.transpose(pairs))).tolist()
     return mesh
+
+
+def _dissection(mx, my, order):
+    """Nested-dissection order of the (my + 1) x (mx + 1) node grid.
+
+    Element edges lie on the grid lines whose index is a multiple of
+    `order`; a Q2 element straddles each odd line.
+    """
+    grid = np.arange((mx + 1) * (my + 1)).reshape(my + 1, mx + 1)
+    parts = []
+
+    def middle_line(lo, hi):
+        # middle element-edge line strictly between lo and hi, or None
+        first, last = lo // order + 1, (hi - 1) // order
+        return order * ((first + last) // 2) if first <= last else None
+
+    def visit(i0, i1, j0, j1):
+        # the block of grid columns i0..i1 and rows j0..j1, bounds included
+        si, sj = middle_line(i0, i1), middle_line(j0, j1)
+        if si is not None and (sj is None or i1 - i0 >= j1 - j0):
+            visit(i0, si - 1, j0, j1)
+            visit(si + 1, i1, j0, j1)
+            parts.append(grid[j0 : j1 + 1, si])
+        elif sj is not None:
+            visit(i0, i1, j0, sj - 1)
+            visit(i0, i1, sj + 1, j1)
+            parts.append(grid[sj, i0 : i1 + 1])
+        else:
+            parts.append(grid[j0 : j1 + 1, i0 : i1 + 1].ravel())
+
+    visit(0, mx, 0, my)
+    return np.concatenate(parts)
 
 
 def rectangle_mesh(L, H, nx, ny, order=1):

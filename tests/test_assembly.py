@@ -147,15 +147,19 @@ class TestDirichletAndSolve:
         assert np.allclose(sol.displacements[0::2], mesh.nodes[:, 0])
         assert np.allclose(sol.displacements[1::2], 2 * mesh.nodes[:, 1])
 
-    def test_single_element_against_dense_oracle(self):
-        mesh = rectangle_mesh(1.0, 1.0, 1, 1, order=1)
-        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, tractions={"right": (2.0, 1.0)})
+    @pytest.mark.parametrize("mesh, variant", [
+        (rectangle_mesh(1.0, 1.0, 1, 1, order=1), V.Q1_CG),
+        (rectangle_mesh(1.0, 1.0, 1, 1, order=2), V.Q2_CG),
+        (cook_mesh(3, order=1), V.Q1_CG),
+    ], ids=["Q1-element", "Q2-element", "distorted-Q1-mesh"])
+    def test_single_element_against_dense_oracle(self, mesh, variant):
+        system = assemble(mesh, MP_ISO, FRAME0, variant, tractions={"right": (2.0, 1.0)})
         apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
         sol = solve(system)
 
         K = system.stiffness.toarray()
-        free = [d for d in range(8) if d not in system.constrained]
-        u_oracle = np.zeros(8)
+        free = [d for d in range(system.n_dofs) if d not in system.constrained]
+        u_oracle = np.zeros(system.n_dofs)
         u_oracle[free] = np.linalg.solve(K[np.ix_(free, free)], system.load[free])
         assert np.abs(sol.displacements - u_oracle).max() < 1e-12
 
@@ -239,6 +243,29 @@ class TestDirichletAndSolve:
         tol = np.finfo(float).eps * np.linalg.cond(K_ff)
         dev = np.linalg.norm(sol.displacements[free] - u_oracle)
         assert dev <= tol * np.linalg.norm(u_oracle)
+
+    def test_dissection_fills_less_than_minimum_degree(self, monkeypatch):
+        # the Q2 n=64 Cook panel: the ordered factors of K_ff against those of
+        # SuperLU's minimum-degree ordering of K + K^T on the same matrix
+        splu, factored = spla.splu, []
+
+        def record(A, **kw):
+            factored.append(A)
+            return splu(A, **kw)
+
+        monkeypatch.setattr(spla, "splu", record)
+        mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.3, 0.3))
+        system = assemble(cook_mesh(64, 2), mp, FRAME0, V.Q2_CG, tractions={"right": (0.0, 6.25)})
+        apply_dirichlet(system, {"left": (0.0, 0.0)})
+        solve(system)
+        K_ff, = factored
+
+        def fill(permc_spec):
+            lu = splu(K_ff, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
+            return lu.L.nnz + lu.U.nnz
+
+        assert fill("NATURAL") < fill("MMD_AT_PLUS_A")
 
     def test_solver_determinism(self, rng):
         ec = sample_admissible(rng)

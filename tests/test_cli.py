@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -226,6 +227,17 @@ class TestBeamCommand:
         row = out.read_text().splitlines()[1].split(",")
         h1 = float(row[11])
         assert h1 < 1e-8
+
+    def test_huge_p_is_a_singular_stiffness(self, tmp_path):
+        # the exact solution's compliance at p = 1e110 is numerically
+        # singular; its cofactor determinant used to overflow, with warnings
+        out = tmp_path / "beam.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["beam", "--p", "1e110", "--refine", "5", "--variants", "Q1_CG",
+                         "--out", str(out)])
+        assert code == 4
+        assert out.read_text().splitlines()[1].endswith(",error:SingularStiffness")
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["beam", "--p", "3,10000", "--variants", "Q1_CG,Q1_CG_UI_beta",

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -347,6 +349,18 @@ class TestPlaneStrain:
         for term in (one_point_term, p0_projected_term):
             with pytest.raises(ValueError, match=message):
                 term(square, 1.0, "extensional", frame)
+
+    @pytest.mark.parametrize("k", [-400, 0, 400])
+    def test_power_of_two_scaling_is_exact(self, rng, k):
+        # C -> 2^k C gives S -> 2^-k S bit for bit, also where the cubes of
+        # unscaled coefficients would overflow (k = 400) or underflow (-400)
+        mp = derive_parameters(sample_admissible(rng))
+        scaled = MaterialParameters(*(math.ldexp(c, k) for c in astuple(mp)))
+        frame = FibreFrame.from_angle(0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = plane_strain_compliance(scaled, frame)
+        assert np.array_equal(S, np.ldexp(plane_strain_compliance(mp, frame), -k))
 
     def test_singular_stiffness_raises(self):
         mp = MaterialParameters(lam=0.0, mu_t=0.0, mu_l=0.0, alpha=0.0, beta=0.0)

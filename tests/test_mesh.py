@@ -203,3 +203,66 @@ class TestLocalNodeLayout:
             # endpoints first, midside last
             ends = mesh.nodes[nodes[:, :2]].mean(axis=1)
             assert np.allclose(mesh.nodes[nodes[:, 2]], ends)
+
+
+def dissection_cuts(mesh, nx):
+    """Read mesh.dissection as nested blocks of the node grid and return the
+    (first, second) halves of every cut.
+
+    Each block of the order must hold a whole block of grid nodes and end in
+    a full grid line of element edges across it, with the nodes on one side
+    of the line before those on the other; a block with no interior element-
+    edge line must be left uncut.
+    """
+    row, col = np.divmod(mesh.dissection, nx * mesh.order + 1)
+    cuts = []
+
+    def visit(seg):
+        coords = col[seg], row[seg]
+        extent = [(c.min(), c.max()) for c in coords]
+        sizes = [hi - lo + 1 for lo, hi in extent]
+        assert seg.size == sizes[0] * sizes[1]
+        lines = [{s for s in range(lo + 1, hi) if s % mesh.order == 0} for lo, hi in extent]
+        if not any(lines):
+            return
+        for axis in (0, 1):
+            c, across = coords[axis], sizes[1 - axis]
+            s = c[-1]
+            if s in lines[axis] and np.all(c[-across:] == s):
+                k = np.count_nonzero(c[:-across] < s)
+                assert np.all(c[:k] < s) and np.all(c[k:-across] > s)
+                first, second = seg[:k], seg[k:-across]
+                cuts.append((mesh.dissection[first], mesh.dissection[second]))
+                visit(first)
+                visit(second)
+                return
+        raise AssertionError(f"block {extent} does not end in a separating line")
+
+    visit(np.arange(mesh.n_nodes))
+    return cuts
+
+
+class TestDissection:
+    MESHES = [
+        ("rectangle", 1, 1), ("rectangle", 5, 1), ("rectangle", 9, 1),
+        ("rectangle", 40, 8), ("rectangle", 3, 7), ("cook", 1, 1), ("cook", 6, 6),
+    ]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind, nx, ny", MESHES)
+    def test_cuts_separate_the_elements(self, kind, nx, ny, order):
+        mesh = rectangle_mesh(10.0, 2.0, nx, ny, order) if kind == "rectangle" else cook_mesh(nx, order)
+        assert np.array_equal(np.sort(mesh.dissection), np.arange(mesh.n_nodes))
+        for first, second in dissection_cuts(mesh, nx):
+            in_first = np.isin(mesh.elements, first).any(axis=1)
+            in_second = np.isin(mesh.elements, second).any(axis=1)
+            assert first.size and second.size
+            assert not np.any(in_first & in_second)
+
+    def test_cut_follows_element_edges(self):
+        # a Q2 element straddles every odd grid line, so a 2 x 1 Q2 grid is cut
+        # only at its middle vertex column, and a 1 x 1 one not at all
+        assert rectangle_mesh(1.0, 1.0, 1, 1, order=2).dissection.tolist() == list(range(9))
+        assert rectangle_mesh(2.0, 1.0, 2, 1, order=2).dissection.tolist() == [
+            0, 1, 5, 6, 10, 11, 3, 4, 8, 9, 13, 14, 2, 7, 12,
+        ]
