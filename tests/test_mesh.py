@@ -209,10 +209,9 @@ def dissection_cuts(mesh, nx):
     """Read mesh.dissection as nested blocks of the node grid and return the
     (first, second) halves of every cut.
 
-    Each block of the order must hold a whole block of grid nodes and end in
-    a full grid line of element edges across it, with the nodes on one side
-    of the line before those on the other; a block with no interior element-
-    edge line must be left uncut.
+    Each block of the order must hold a whole block of grid nodes and, if an
+    interior grid line of element edges crosses it, end in a full such line,
+    with the nodes on one side of the line before those on the other.
     """
     row, col = np.divmod(mesh.dissection, nx * mesh.order + 1)
     cuts = []
