@@ -84,11 +84,6 @@ def _output(path):
         yield sys.stdout
 
 
-def _write(path, text):
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def stability_grid(p_min, p_max, p_steps, nu_min, nu_max, nu_steps):
     """Midpoint sampling, so open interval bounds are never evaluated."""
     dp = (p_max - p_min) / p_steps
@@ -98,6 +93,15 @@ def stability_grid(p_min, p_max, p_steps, nu_min, nu_max, nu_steps):
     return ps, nus
 
 
+class _Tails(dict):
+    """The "admissible,violated" cells and line end of a stability row, keyed
+    by the violated tuple and formatted on first use."""
+
+    def __missing__(self, violated):
+        tail = self[violated] = f"{int(not violated)},{'|'.join(violated)}\n"
+        return tail
+
+
 def cmd_stability(args):
     if args.p_steps < 1 or args.nu_steps < 1:
         print("malformed grid specification", file=sys.stderr)
@@ -105,20 +109,17 @@ def cmd_stability(args):
     ps, nus = stability_grid(
         args.p_min, args.p_max, args.p_steps, args.nu_min, args.nu_max, args.nu_steps
     )
-    nu_cells = [f",{_fmt(nu)}," for nu in nus]
-    tails = {}  # the "admissible,violated" cells, keyed by the violated tuple
-    lines = ["p,nu,admissible,violated"]
-    for p in ps:
-        p_cell = _fmt(p)
-        for nu, nu_cell in zip(nus, nu_cells):
-            verdict = mat.check_stability(mat.EngineeringConstants(1.0, p, args.q, nu, nu))
-            tail = tails.get(verdict.violated)
-            if tail is None:
-                tail = tails[verdict.violated] = (
-                    f"{int(verdict.admissible)},{'|'.join(verdict.violated)}"
-                )
-            lines.append(p_cell + nu_cell + tail)
-    _write(args.out, "\n".join(lines) + "\n")
+    nu_cells = [(nu, f",{_fmt(nu)},") for nu in nus]
+    tails = _Tails()
+    check, constants, q = mat.check_stability, mat.EngineeringConstants, args.q
+    with _output(args.out) as fh:  # an unwritable --out fails before the scan
+        fh.write("p,nu,admissible,violated\n")
+        for p in ps:
+            p_cell = _fmt(p)
+            fh.write("".join([
+                p_cell + nu_cell + tails[check(constants(1.0, p, q, nu, nu)).violated]
+                for nu, nu_cell in nu_cells
+            ]))
     return 0
 
 
@@ -151,7 +152,8 @@ def cmd_material(args):
             ",".join(map(_fmt, values))
             + f",{int(verdict.admissible)},{'|'.join(verdict.violated)}"
         )
-    _write(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

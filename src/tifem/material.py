@@ -4,11 +4,16 @@ The material is described either by engineering constants (Young's moduli,
 Poisson ratios, shear moduli via the ratios p = E_l/E_t and q = mu_l/mu_t)
 or by the five tensor coefficients (lambda, mu_t, mu_l, alpha, beta) plus
 the derived gamma = 2(mu_l - mu_t).  All operations here are pure functions;
-the value types are frozen dataclasses and safe to share across threads.
+the value types are immutable and safe to share across threads.
+EngineeringConstants is a named tuple rather than a frozen dataclass: the
+stability scan builds one per grid point, and a frozen dataclass's __init__
+costs five object.__setattr__ calls where a tuple is built in one step.  The
+other value types are frozen dataclasses.
 """
 
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +30,7 @@ class SingularStiffness(ValueError):
     """Plane-strain stiffness is numerically singular."""
 
 
-@dataclass(frozen=True)
-class EngineeringConstants:
+class EngineeringConstants(NamedTuple):
     """Physical parametrization: (E_t, p, q, nu_t, nu_l).
 
     E_t is the transverse Young's modulus, p = E_l/E_t the moduli ratio,
@@ -153,16 +157,12 @@ def check_stability(ec):
     Verdicts are shared immutable values from a 32-entry table, one per
     set of violated conditions.
     """
-    E_t, p, q, nu_t, nu_l = ec.E_t, ec.p, ec.q, ec.nu_t, ec.nu_l
-    if (math.isnan(E_t) or math.isnan(p) or math.isnan(q)
-            or math.isnan(nu_t) or math.isnan(nu_l)):
+    E_t, p, q, nu_t, nu_l = ec
+    if E_t != E_t or p != p or q != q or nu_t != nu_t or nu_l != nu_l:  # NaN
         return _VERDICTS[-1]
     # EngineeringConstants.mu_t, written out on the local floats
     mu_t = E_t / (2.0 * (1.0 + nu_t)) if nu_t != -1.0 else math.inf
-    try:
-        nu_l_sq = nu_l**2
-    except OverflowError:
-        nu_l_sq = math.inf
+    nu_l_sq = nu_l * nu_l  # +inf past the float range, where nu_l**2 raises
     mask = (
         (not p > 0.0)
         + 2 * (not q * mu_t >= mu_t > 0.0)

@@ -404,6 +404,23 @@ class TestUnwritableOut:
         assert str(out) in capsys.readouterr().err
         assert calls == []
 
+    def test_scan_does_not_start(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting(ec):
+            calls.append(ec)
+            return check_stability(ec)
+
+        monkeypatch.setattr("tifem.material.check_stability", counting)
+        grid = ["stability", "--p-steps", "2", "--nu-steps", "3", "--out"]
+        assert main(grid + [str(tmp_path / "x.csv")]) == 0
+        assert len(calls) == 6  # the counter sees every grid point
+        calls.clear()
+        out = tmp_path / "missing" / "x.csv"
+        assert main(grid + [str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
+
 
 class TestDefaults:
     @pytest.mark.parametrize("command,config", [("cook", CookConfig), ("beam", BeamConfig)])

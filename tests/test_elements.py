@@ -146,6 +146,22 @@ class TestElementStiffness:
         for mode in rigid_body_modes(coords):
             assert np.abs(K @ mode).max() < 1e-10 * np.abs(K).max()
 
+    @pytest.mark.parametrize("variant", list(V))
+    def test_no_hourglass_modes(self, variant, rng):
+        # The rigid modes are in the null space (test above); exactly three
+        # eigenvalues at roundoff level means nothing else is.  Roundoff sits
+        # near 1e-16 of the largest |eigenvalue| and the smallest elastic one
+        # above 1e-5 of it, so 1e-10 is clear of both.  The count is of
+        # magnitudes: a reduced variant's stiffness can be indefinite when the
+        # material matrix with the reduced coefficient zeroed is.
+        for _ in range(20):
+            mp = derive_parameters(sample_admissible(rng))
+            frame = FibreFrame.from_angle(rng.uniform(0, math.pi))
+            corners = random_quad(rng, scale=2.0)
+            coords = corners if variant.order == 1 else q2_coords(corners)
+            magnitudes = np.abs(np.linalg.eigvalsh(element_stiffness(coords, mp, frame, variant)))
+            assert np.count_nonzero(magnitudes < 1e-10 * magnitudes.max()) == 3
+
     def test_mixed_equals_underintegrated_on_parallelogram(self, rng):
         for _ in range(10):
             ec = sample_admissible(rng)
@@ -235,10 +251,14 @@ class TestP0Projection:
     def test_matches_one_point_on_parallelogram(self, rng):
         for which in ("volumetric", "extensional"):
             frame = FibreFrame.from_angle(rng.uniform(0, math.pi))
+            a1, a2 = frame.vec
+            selector = {"volumetric": np.array([1.0, 1.0, 0.0]),
+                        "extensional": np.array([a1 * a1, a2 * a2, a1 * a2])}[which]
             coords = random_parallelogram(rng)
-            K_p0 = p0_projected_term(coords, 3.7, which, frame)
-            K_1p = one_point_term(coords, 3.7, which, frame)
-            assert np.abs(K_p0 - K_1p).max() <= 1e-12 * max(np.abs(K_p0).max(), 1.0)
+            K_oracle = 3.7 * one_point_oracle(coords, selector)
+            for term in (p0_projected_term, one_point_term):
+                K = term(coords, 3.7, which, frame)
+                assert np.abs(K - K_oracle).max() <= 1e-12 * max(np.abs(K_oracle).max(), 1.0)
 
     def test_identity_on_constant_divergence_field(self, rng):
         # u = (x, 0) has unit divergence everywhere; the projection is a

@@ -35,6 +35,33 @@ from conftest import sample_admissible
 E3 = FibreFrame((0.0, 0.0, 1.0))
 
 
+class TestEngineeringConstants:
+    def test_positional_and_keyword_construction(self):
+        ec = EngineeringConstants(2.0, 3.0, 1.5, 0.25, 0.1)
+        assert ec == EngineeringConstants(E_t=2.0, p=3.0, q=1.5, nu_t=0.25, nu_l=0.1)
+        assert (ec.E_t, ec.p, ec.q, ec.nu_t, ec.nu_l) == (2.0, 3.0, 1.5, 0.25, 0.1)
+
+    @pytest.mark.parametrize("name", ["E_t", "p", "q", "nu_t", "nu_l"])
+    def test_fields_cannot_be_assigned(self, name):
+        ec = EngineeringConstants(2.0, 3.0, 1.5, 0.25, 0.1)
+        with pytest.raises(AttributeError):
+            setattr(ec, name, 7.0)
+        assert getattr(ec, name) != 7.0
+
+    def test_equal_and_hashed_by_value(self):
+        a = EngineeringConstants(2.0, 3.0, 1.5, 0.25, 0.1)
+        b = EngineeringConstants(2.0, 3.0, 1.5, 0.25, 0.1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != EngineeringConstants(2.0, 3.0, 1.5, 0.25, 0.2)
+
+    def test_derived_moduli(self):
+        ec = EngineeringConstants(E_t=2.0, p=3.0, q=1.5, nu_t=0.25, nu_l=0.1)
+        assert ec.E_l == 3.0 * 2.0
+        assert ec.mu_t == 2.0 / (2.0 * 1.25)
+        assert ec.mu_l == 1.5 * ec.mu_t
+
+
 class TestDeriveParameters:
     @pytest.mark.parametrize("nu", [0.0, 0.3, 0.49995])
     def test_isotropic_reduction(self, nu):
