@@ -26,7 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elements import (
-    FormulationVariant, _lagrange_1d, element_stiffness, gauss_rule_1d, geometry,
+    FormulationVariant, _interpolate, _lagrange_1d, element_stiffness, gauss_rule_1d,
+    geometry,
 )
 
 
@@ -85,10 +86,10 @@ def _add_load(f, conn, vals, wmeas, coords, spec):
     conn (E, n) node indices, vals (q, n) shape values, wmeas (E, q) weight
     times measure, coords (E, n, 2).
     """
-    x, y = np.einsum("qn,eni->ieq", vals, coords)
+    x, y = np.swapaxes(_interpolate(coords, vals), 0, 1)
     t = _at_points(spec, x, y, (2,))
-    fe = np.einsum("qn,eq,eqi->eni", vals, wmeas, t)
-    np.add.at(f.reshape(-1, 2), conn, fe)
+    fe = _interpolate(wmeas[..., None] * t, vals.T)          # (E, 2, n)
+    np.add.at(f.reshape(-1, 2), conn, np.swapaxes(fe, 1, 2))
 
 
 def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
@@ -124,8 +125,8 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
                 raise UnknownBoundaryTag(tag)
             enodes = mesh.edge_nodes(*np.transpose(mesh.boundary_edges[tag]))
             ecoords = mesh.nodes[enodes]
-            tangent = np.einsum("qn,eni->eqi", ders, ecoords)
-            ds = np.hypot(tangent[..., 0], tangent[..., 1])
+            tx, ty = np.swapaxes(_interpolate(ecoords, ders), 0, 1)  # tangent
+            ds = np.hypot(tx, ty)
             _add_load(f, enodes, vals, wts_1d * ds, ecoords, spec)
 
     return LinearSystem(stiffness=K, load=f, mesh=mesh, variant=variant, frame=frame)
@@ -233,9 +234,9 @@ def h1_error(solution, exact_u, exact_grad, relative=False):
     coords = mesh.nodes[conn]
     vals, dN, wdet = geometry(coords, mesh.order, mesh.order + 2)
     ue = solution.displacements.reshape(-1, 2)[conn]           # (E, n, 2)
-    x, y = np.einsum("qn,eni->ieq", vals, coords)
-    uh = np.einsum("qn,eni->eqi", vals, ue)
-    Gh = np.einsum("eni,eqnj->eqij", ue, dN)                   # du_i/dx_j
+    x, y = np.swapaxes(_interpolate(coords, vals), 0, 1)
+    uh = np.swapaxes(_interpolate(ue, vals), 1, 2)
+    Gh = np.swapaxes(ue, 1, 2)[:, None] @ dN                   # du_i/dx_j
     ux = _at_points(exact_u, x, y, (2,))
     Gx = _at_points(exact_grad, x, y, (2, 2))
     l2_sq = np.sum(wdet * np.sum((uh - ux) ** 2, axis=-1))

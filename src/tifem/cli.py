@@ -13,6 +13,8 @@ import math
 import re
 import sys
 from dataclasses import astuple, fields
+from itertools import repeat
+from operator import add, attrgetter
 
 from . import material as mat
 from .benchmarks import (
@@ -109,17 +111,19 @@ def cmd_stability(args):
     ps, nus = stability_grid(
         args.p_min, args.p_max, args.p_steps, args.nu_min, args.nu_max, args.nu_steps
     )
-    nu_cells = [(nu, f",{_fmt(nu)},") for nu in nus]
+    nu_cells = [f",{_fmt(nu)}," for nu in nus]
     tails = _Tails()
-    check, constants, q = mat.check_stability, mat.EngineeringConstants, args.q
+    check, q, violated = mat.check_stability, args.q, attrgetter("violated")
     with _output(args.out) as fh:  # an unwritable --out fails before the scan
         fh.write("p,nu,admissible,violated\n")
         for p in ps:
+            # Built and iterated in C: the only Python code run per grid point
+            # is check_stability, on a plain (E_t, p, q, nu_t, nu_l) tuple.
+            verdicts = map(check, zip(repeat(1.0), repeat(p), repeat(q), nus, nus))
+            rows = map(add, nu_cells, map(tails.__getitem__, map(violated, verdicts)))
             p_cell = _fmt(p)
-            fh.write("".join([
-                p_cell + nu_cell + tails[check(constants(1.0, p, q, nu, nu)).violated]
-                for nu, nu_cell in nu_cells
-            ]))
+            # Every row ends in a line end, so the join starts each later row.
+            fh.write(p_cell + p_cell.join(rows))
     return 0
 
 

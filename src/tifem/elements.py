@@ -115,6 +115,14 @@ def _tabulated(order, n_gauss):
     return rule, points, *shape_functions(order, points)
 
 
+def _interpolate(nodal, table):
+    """sum_n table[k, n] nodal[e, n, i] as (E, i, k), from nodal (E, n, i) and
+    table (k, n): one (E i, n) @ (n, k) product, where an einsum over the
+    small axes runs many times slower."""
+    E, n, _ = nodal.shape
+    return (np.swapaxes(nodal, 1, 2).reshape(-1, n) @ table.T).reshape(E, -1, len(table))
+
+
 def geometry(coords, order, n_gauss):
     """Element geometry batched over elements and Gauss points.
 
@@ -124,8 +132,10 @@ def geometry(coords, order, n_gauss):
     nodes; a bilinear map's det J is affine, so on Q1 the corners decide.
     """
     rule, points, vals, grads = _tabulated(order, n_gauss)
-    J = np.einsum("eni,qnj->eqij", coords, grads)   # J[..., i, j] = dx_i/dxi_j
-    detJ = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    k, n = vals.shape
+    # J[e, i, :, j] = dx_i/dxi_j at each point
+    J = _interpolate(coords, np.swapaxes(grads, 1, 2).reshape(2 * k, n)).reshape(-1, 2, k, 2)
+    detJ = J[:, 0, :, 0] * J[:, 1, :, 1] - J[:, 0, :, 1] * J[:, 1, :, 0]
     bad = np.argwhere(detJ <= 0.0)
     if bad.size:
         e, q = bad[0]
@@ -133,14 +143,11 @@ def geometry(coords, order, n_gauss):
             f"element {e}: det J = {detJ[e, q]} at {points[q].tolist()}"
         )
     q = len(rule.weights)
-    vals, grads, J, detJ = vals[:q], grads[:q], J[:, :q], detJ[:, :q]
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 0, 1] = -J[..., 0, 1]
-    inv[..., 1, 0] = -J[..., 1, 0]
-    inv[..., 1, 1] = J[..., 0, 0]
-    inv /= detJ[..., None, None]
-    return vals, grads @ inv, rule.weights * detJ
+    detJ = detJ[:, :q]
+    # J^-1 = [[J11, -J01], [-J10, J00]] / det J, as (E, q, 2, 2)
+    inv = np.stack([J[:, 1, :q, 1], -J[:, 0, :q, 1], -J[:, 1, :q, 0], J[:, 0, :q, 0]], axis=-1)
+    inv /= detJ[..., None]
+    return vals[:q], grads[:q] @ inv.reshape(-1, q, 2, 2), rule.weights * detJ
 
 
 def _strain_matrix(dN):
@@ -167,7 +174,8 @@ def _selector(term, frame):
 def _reduced_term(B, wdet, selector):
     """Unit-coefficient terms (int g)(int g)^T / |E| with g = B^T selector,
     from B (E, q, 3, 2n) and weight * det J (E, q) on a rule exact for g."""
-    g = np.einsum("eq,eqj->ej", wdet, selector @ B)
+    E, q, _, ndof = B.shape
+    g = ((wdet[..., None] * selector).reshape(E, 1, 3 * q) @ B.reshape(E, 3 * q, ndof))[:, 0]
     return g[:, :, None] * g[:, None, :] / wdet.sum(axis=1)[:, None, None]
 
 

@@ -5,10 +5,11 @@ Poisson ratios, shear moduli via the ratios p = E_l/E_t and q = mu_l/mu_t)
 or by the five tensor coefficients (lambda, mu_t, mu_l, alpha, beta) plus
 the derived gamma = 2(mu_l - mu_t).  All operations here are pure functions;
 the value types are immutable and safe to share across threads.
-EngineeringConstants is a named tuple rather than a frozen dataclass: the
-stability scan builds one per grid point, and a frozen dataclass's __init__
-costs five object.__setattr__ calls where a tuple is built in one step.  The
-other value types are frozen dataclasses.
+EngineeringConstants is a named tuple, so it unpacks in field order, and
+check_stability takes it or any sequence of the same five floats: the
+stability scan passes plain tuples that it builds in C, since even a named
+tuple's __new__ would be a Python call per grid point.  The other value
+types are frozen dataclasses.
 """
 
 from dataclasses import dataclass
@@ -150,6 +151,8 @@ _VERDICTS = tuple(
 def check_stability(ec):
     """Certify the sufficient pointwise-stability conditions.
 
+    ec is an EngineeringConstants or any sequence of the same five floats in
+    its field order, (E_t, p, q, nu_t, nu_l); both give the same verdict.
     The five conditions: p > 0; mu_l >= mu_t > 0; nu_t > -1;
     (2 nu_t + 1) p - (2 nu_l + 1) > 0; (1 - nu_t) p - 2 nu_l^2 > 0.
     NaN inputs produce a verdict with every condition violated; a nu_l^2

@@ -113,9 +113,13 @@ class TestStabilityCommand:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("steps", [(40, 50), (1, 50), (40, 1)], ids="{0[0]}x{0[1]}".format)
     @pytest.mark.parametrize("q", [0.5, 1.0])
-    def test_rows_match_the_per_row_form(self, q, capsys):
-        grid = dict(p_min=-1.0, p_max=3.0, p_steps=40, nu_min=-1.5, nu_max=1.0, nu_steps=50)
+    def test_rows_match_the_per_row_form(self, q, steps, capsys):
+        # a single nu cell makes each p value's block a join of one row
+        p_steps, nu_steps = steps
+        grid = dict(p_min=-1.0, p_max=3.0, p_steps=p_steps, nu_min=-1.5, nu_max=1.0,
+                    nu_steps=nu_steps)
         argv = ["stability", f"--q={q}"] + [
             f"--{name.replace('_', '-')}={value}" for name, value in grid.items()
         ]
@@ -131,7 +135,9 @@ class TestStabilityCommand:
                     + "|".join(verdict.violated)
                 )
         assert rows == expected
-        # the grid crosses every condition's boundary
+        if steps != (40, 50):
+            return
+        # the full grid crosses every condition's boundary
         violated = {c for row in rows[1:] for c in row.split(",")[3].split("|")}
         assert violated - {""} == set(ALL_CONDITIONS)
         assert ("" in violated) == (q == 1.0)

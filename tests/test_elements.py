@@ -119,6 +119,24 @@ class TestShapeFunctions:
 
 
 class TestGeometry:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_the_einsum_and_inverse_form(self, order, rng):
+        # random distorted quads; the Q2 ones also get curved edges
+        coords = np.array([random_quad(rng) for _ in range(20)])
+        if order == 2:
+            coords = np.array([q2_coords(c) for c in coords])
+            coords += rng.uniform(-0.03, 0.03, size=coords.shape)
+        for n_gauss in (order + 1, order + 2):
+            rule = gauss_rule(n_gauss)
+            vals, grads = shape_functions(order, rule.points)
+            J = np.einsum("eni,qnj->eqij", coords, grads)
+            dN = grads @ np.linalg.inv(J)
+            wdet = rule.weights * np.linalg.det(J)
+            got = geometry(coords, order, n_gauss)
+            for g, want in zip(got, (vals, dN, wdet)):
+                assert g.shape == want.shape
+                assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_non_convex_q1_quad_is_rejected(self):
         coords = np.array([[(0.0, 0.0), (1.0, 0.0), (0.4, 0.4), (0.0, 1.0)]])
         # det J is positive at the 2x2 Gauss points and negative at corner 2

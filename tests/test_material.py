@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tifem import (
     DegenerateDenominator,
@@ -227,6 +227,19 @@ class TestVerdictTable:
         assert verdict == expected
         assert hash(verdict) == hash(expected)
         assert verdict.admissible == (not verdict.violated)
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(E_t=any_float, p=any_float, q=any_float, nu_t=any_float, nu_l=any_float)
+    @example(E_t=1.0, p=math.nan, q=1.0, nu_t=0.3, nu_l=0.3)
+    @example(E_t=1.0, p=math.inf, q=-math.inf, nu_t=0.3, nu_l=0.3)
+    @example(E_t=1.0, p=2.0, q=1.0, nu_t=-1.0, nu_l=-1.0)
+    @example(E_t=1.0, p=2.0, q=1.0, nu_t=1e200, nu_l=1e200)
+    def test_plain_sequence_gives_the_same_verdict(self, E_t, p, q, nu_t, nu_l):
+        # the stability scan passes plain tuples in field order
+        ec = EngineeringConstants(E_t, p, q, nu_t, nu_l)
+        verdict = check_stability(ec)
+        assert check_stability(tuple(ec)) is verdict
+        assert check_stability(list(ec)) is verdict
 
     def test_verdicts_are_shared(self):
         a = check_stability(EngineeringConstants(1.0, 2.0, 1.0, 0.3, 0.3))
