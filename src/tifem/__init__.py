@@ -30,6 +30,7 @@ from .elements import (
 )
 from .assembly import (
     FieldSolution,
+    IndefiniteSystem,
     LinearSystem,
     SingularSystem,
     UnknownBoundaryTag,

@@ -1,13 +1,16 @@
 """Global assembly, boundary conditions, linear solve, and error norms.
 
 Degrees of freedom are interleaved: node i owns dofs (2i, 2i+1) for the
-x and y displacement components.  Dirichlet constraints are eliminated at
-solve time: the free dofs F solve K_FF u_F = f_F - K_F u, where K_F is the
-rows F of K and u holds the prescribed values, zero on F.  The assembled
-matrix always covers all dofs.  F lists the free dofs node by node in the
-mesh's nested-dissection order (`QuadMesh.dissection`), so K_FF is sliced
-already permuted and factorised with no further ordering; a system with no
-mesh keeps its own dof order.
+x and y displacement components.  K is gathered onto the mesh's cached CSR
+pattern (`QuadMesh.pattern`): one bincount of the element matrices over each
+entry's slot, with nothing sorted per assembly.  Dirichlet constraints are
+eliminated at solve time: the free dofs F solve K_FF u_F = (f - K u)_F, where
+u holds the prescribed values, zero on F.  The assembled matrix always covers
+all dofs.  F lists the free dofs node by node in the mesh's nested-dissection
+order (`QuadMesh.dissection`), and K_FF is gathered from K's data, already
+permuted, through the mesh's layout for F (`QuadMesh.free_layout`) and
+factorised with no further ordering; a system with no mesh keeps its own dof
+order and computes that layout afresh.
 
 Field functions (body force, tractions, Dirichlet data, exact solutions) are
 called once each as func(x, y) on coordinate arrays of quadrature points
@@ -29,6 +32,7 @@ from .elements import (
     FormulationVariant, _interpolate, _lagrange_1d, element_stiffness, gauss_rule_1d,
     geometry,
 )
+from .mesh import _free_layout
 
 
 class UnknownBoundaryTag(KeyError):
@@ -37,6 +41,11 @@ class UnknownBoundaryTag(KeyError):
 
 class SingularSystem(ValueError):
     """The constrained system is singular (e.g. unresolved rigid-body modes)."""
+
+
+class IndefiniteSystem(SingularSystem):
+    """K_FF is not positive definite: its diagonal-pivoted factorisation has a
+    negative pivot, or had to pivot a row off the diagonal."""
 
 
 @dataclass
@@ -105,11 +114,9 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
     coords = mesh.nodes[conn]
 
     Ke = element_stiffness(coords, mp, frame, variant)
-    edofs = np.stack([2 * conn, 2 * conn + 1], axis=-1).reshape(conn.shape[0], -1)
-    n_edof = edofs.shape[1]
-    rows = np.repeat(edofs, n_edof, axis=1).ravel()
-    cols = np.tile(edofs, n_edof).ravel()
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    pattern = mesh.pattern
+    data = np.bincount(pattern.slots().ravel(), Ke.ravel(), pattern.indices.size)
+    K = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(ndof, ndof))
 
     f = np.zeros(ndof)
     if body_force is not None:
@@ -162,29 +169,44 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
     return system
 
 
-def solve(system):
-    """Direct sparse solve with symmetric elimination of constrained dofs.
-
-    K_ff should be SPD: the free dofs are taken in the mesh's nested-dissection
-    order (a system with no mesh keeps its own dof order), and splu factorises
-    K_ff in that order with diagonal pivots.  Other input raises
-    SingularSystem or returns a solution the checks below verified."""
+def _reduced(system):
+    """Free dofs F, u holding the prescribed values (zero on F), and K_FF
+    (CSC) and rhs = (f - K u)_F of the eliminated system."""
     u = np.zeros(system.n_dofs)
     u[list(system.constrained)] = list(system.constrained.values())
     mask = np.ones(system.n_dofs, dtype=bool)
     mask[list(system.constrained)] = False
-    if system.mesh is None:
+    K, mesh = system.stiffness, system.mesh
+    if mesh is None:
         dofs = np.arange(system.n_dofs)
     else:
-        dofs = (2 * system.mesh.dissection[:, None] + [0, 1]).ravel()
+        dofs = (2 * mesh.dissection[:, None] + [0, 1]).ravel()
     free = dofs[mask[dofs]]
     if free.size == 0:
-        return FieldSolution(system.mesh, u)
+        return free, u, None, None
+    if mesh is not None and _same_pattern(K, mesh.pattern):
+        take, indices, indptr = mesh.free_layout(free)
+    else:
+        take, indices, indptr = _free_layout(K.indptr, K.indices, free)
+    K_ff = sp.csc_matrix((K.data[take], indices, indptr), shape=(free.size, free.size))
+    return free, u, K_ff, (system.load - K @ u)[free]
 
-    K_f = system.stiffness[free]
-    K_ff = K_f[:, free].tocsc()
-    rhs = system.load[free] - K_f @ u  # u is zero on the free dofs: f_F - K_FC u_C
-    del K_f  # release the full-width rows before the factors are allocated
+
+def _same_pattern(K, pattern):
+    return np.array_equal(K.indptr, pattern.indptr) and np.array_equal(K.indices, pattern.indices)
+
+
+def solve(system):
+    """Direct sparse solve with symmetric elimination of constrained dofs.
+
+    K_ff must be SPD: the free dofs are taken in the mesh's nested-dissection
+    order (a system with no mesh keeps its own dof order), and splu factorises
+    K_ff in that order with diagonal pivots.  Other input raises
+    SingularSystem, IndefiniteSystem if a pivot shows K_ff is not positive
+    definite, or returns a solution the checks below verified."""
+    free, u, K_ff, rhs = _reduced(system)
+    if free.size == 0:
+        return FieldSolution(system.mesh, u)
     try:
         lu = spla.splu(K_ff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
@@ -193,11 +215,6 @@ def solve(system):
         raise SingularSystem(str(err)) from err
     if not np.all(np.isfinite(u_f)):
         raise SingularSystem("solver produced non-finite values")
-    # An exactly rank-deficient matrix can slip through factorisation with
-    # roundoff-sized pivots; flag those explicitly.
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() <= 1e-13 * pivots.max():
-        raise SingularSystem("factorisation produced a negligible pivot")
     # One step of iterative refinement, then a backward-error check.  With
     # coefficient ratios up to 1e9 the plain load-relative residual floors
     # near eps * ||K|| * ||u||, so the contract is normwise backward error.
@@ -211,6 +228,22 @@ def solve(system):
     residual = np.linalg.norm(r) / denom
     if residual > 1e-10:
         raise SingularSystem(f"backward error {residual} exceeds 1e-10")
+    del K_ff  # release K_FF's data before lu.U copies the factors
+    # An exactly rank-deficient matrix can slip through factorisation with
+    # roundoff-sized pivots; flag those explicitly.  With the rows in their
+    # own order (perm_r the identity) the factorisation is a symmetric LDL^T,
+    # and the signs of the pivots are the inertia of K_ff.
+    pivots = lu.U.diagonal()
+    size = np.abs(pivots)
+    if size.min() <= 1e-13 * size.max():
+        raise SingularSystem("factorisation produced a negligible pivot")
+    negative = np.count_nonzero(pivots < 0)
+    permuted = not np.array_equal(lu.perm_r, np.arange(free.size))
+    if negative or permuted:
+        raise IndefiniteSystem(
+            f"K_ff is not positive definite: {negative} negative pivots"
+            + (", rows pivoted off the diagonal" if permuted else "")
+        )
     u[free] = u_f
     return FieldSolution(system.mesh, u)
 

@@ -6,8 +6,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tifem import (
+    CookConfig,
     FibreFrame,
     FormulationVariant,
+    IndefiniteSystem,
     LinearSystem,
     MaterialParameters,
     NonPositiveJacobian,
@@ -20,10 +22,13 @@ from tifem import (
     element_stiffness,
     h1_error,
     rectangle_mesh,
+    run_cook,
     solve,
 )
 from tifem import EngineeringConstants
-from tifem.assembly import _norm_inf
+import tifem.assembly
+import tifem.mesh
+from tifem.assembly import _norm_inf, _reduced
 from conftest import sample_admissible
 
 V = FormulationVariant
@@ -280,6 +285,149 @@ class TestDirichletAndSolve:
             apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
             results.append(solve(system).displacements.tobytes())
         assert results[0] == results[1]
+
+
+class TestGather:
+    """K is gathered on the mesh's pattern and K_FF cut from it by an index map."""
+
+    @staticmethod
+    def coo_oracle(mesh, Ke):
+        conn = mesh.elements
+        edofs = np.stack([2 * conn, 2 * conn + 1], axis=-1).reshape(conn.shape[0], -1)
+        m = edofs.shape[1]
+        rows, cols = np.repeat(edofs, m, axis=1).ravel(), np.tile(edofs, m).ravel()
+        n = 2 * mesh.n_nodes
+        return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    @pytest.mark.parametrize("variant", list(V))
+    def test_stiffness_matches_the_coo_sum(self, variant, rng):
+        mesh = cook_mesh(3, variant.order)
+        mp = derive_parameters(sample_admissible(rng))
+        frame = FibreFrame.from_angle(0.7)
+        K = assemble(mesh, mp, frame, variant).stiffness
+        oracle = self.coo_oracle(mesh, element_stiffness(mesh.nodes[mesh.elements], mp, frame, variant))
+        # same entries, none dropped or doubled, each summed to a few ulp
+        assert K.has_canonical_format
+        assert np.array_equal(K.indptr, oracle.indptr)
+        assert np.array_equal(K.indices, oracle.indices)
+        assert np.abs(K.data - oracle.data).max() <= 4 * np.finfo(float).eps * np.abs(oracle.data).max()
+
+    def test_pattern_is_shared_read_only(self):
+        mesh = rectangle_mesh(2.0, 1.0, 2, 1, order=1)
+        K = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG).stiffness
+        assert np.shares_memory(K.indices, mesh.pattern.indices)
+        with pytest.raises(ValueError, match="read-only"):
+            K.indices[0] = 1
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("constraints", ["cook-clamp", "beam-edge-and-pin"])
+    def test_reduced_system_matches_slicing(self, order, constraints):
+        mp = derive_parameters(EngineeringConstants(250.0, 10.0, 1.0, 0.3, 0.2))
+        frame = FibreFrame.from_angle(1.1)
+        variant = V.Q1_CG if order == 1 else V.Q2_CG
+        if constraints == "cook-clamp":
+            mesh = cook_mesh(4, order)
+            system = assemble(mesh, mp, frame, variant, tractions={"right": (0.0, 6.25)})
+            apply_dirichlet(system, {"left": (0.0, 0.0)})
+        else:
+            mesh = rectangle_mesh(4.0, 1.0, 4, 2, order)
+            system = assemble(mesh, mp, frame, variant,
+                              tractions={"right": lambda x, y: (-3.0 * y, 0.0)})
+            corner = int(np.argmin(np.abs(mesh.nodes - (0.0, -0.5)).sum(axis=1)))
+            apply_dirichlet(system, {"left": lambda x, y: (0.1 * y - 0.2 * y**2, None)},
+                            node_constraints=[(corner, 1, 0.05)])
+        for _ in range(2):  # the second solve takes the cached layout
+            free, u, K_ff, rhs = _reduced(system)
+            K = system.stiffness
+            oracle = K[free][:, free].tocsc()
+            assert np.array_equal(K_ff.indptr, oracle.indptr)
+            assert np.array_equal(K_ff.indices, oracle.indices)
+            assert np.array_equal(K_ff.data, oracle.data)
+            assert np.array_equal(rhs, system.load[free] - K[free] @ u)
+        assert sorted(np.flatnonzero(u)) == sorted(d for d, g in system.constrained.items() if g)
+
+    def test_stiffness_off_the_mesh_pattern_is_sliced_afresh(self):
+        mesh = cook_mesh(3, 1)
+        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, tractions={"right": (0.0, 1.0)})
+        apply_dirichlet(system, {"left": (0.0, 0.0)})
+        _reduced(system)  # caches the mesh's layout for these free dofs
+        # couple two dofs of far-apart nodes: an entry the mesh's pattern lacks
+        n = system.n_dofs
+        extra = sp.csr_matrix(([0.01, 0.01], ([10, n - 1], [n - 1, 10])), shape=(n, n))
+        system.stiffness = system.stiffness + extra
+        free, u, K_ff, rhs = _reduced(system)
+        oracle = system.stiffness[free][:, free].tocsc()
+        assert np.array_equal(K_ff.indices, oracle.indices)
+        assert np.array_equal(K_ff.data, oracle.data)
+        assert np.array_equal(rhs, system.load[free] - system.stiffness[free] @ u)
+
+    def test_sweep_builds_each_pattern_once(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(tifem.mesh, "_stiffness_pattern",
+                            counted("pattern", tifem.mesh._stiffness_pattern))
+        layout = counted("layout", tifem.mesh._free_layout)
+        monkeypatch.setattr(tifem.mesh, "_free_layout", layout)
+        monkeypatch.setattr(tifem.assembly, "_free_layout", layout)
+        report = run_cook(CookConfig(p_list=(2.0, 10.0, 100.0), refine=(2, 4),
+                                     variants=(V.Q1_CG, V.Q2_CG, V.Q1_CG_UI_lambda)))
+        assert report.all_ok and len(report.rows) == 18
+        # one pattern and one K_FF layout per mesh: 2 refinements x 2 orders
+        assert sorted(calls) == ["layout"] * 4 + ["pattern"] * 4
+
+    def test_system_without_mesh_solves(self):
+        K = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, -1.0, 2.0], 1) + np.diag([1.0, -1.0, 2.0], -1)
+        load = np.array([1.0, -2.0, 3.0, 0.5])
+        system = LinearSystem(sp.csr_matrix(K), load, None, V.Q1_CG, FRAME0)
+        system.constrained[2] = 0.25
+        u = solve(system).displacements
+        free = [0, 1, 3]
+        oracle = np.linalg.solve(K[np.ix_(free, free)], load[free] - K[free, 2] * 0.25)
+        assert u[2] == 0.25
+        assert np.abs(u[free] - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+class TestIndefiniteSystem:
+    """A pivot of K_FF's diagonal-pivoted factorisation that is negative, or a
+    row pivoted off the diagonal, refuses the system."""
+
+    # admissible, but the reduced variants' K_FF is indefinite on the panel
+    EC = EngineeringConstants(152.066, 0.647, 1.265, -0.022, -0.546)
+
+    @pytest.mark.parametrize("variant", [
+        V.Q1_CG_UI_lambda, V.Q1_CG_UI_beta, V.Q1_MIXED_P0_beta, V.Q1_CG_UI_betalambda])
+    def test_negative_pivots_are_the_inertia(self, variant):
+        mesh = cook_mesh(8, 1)
+        system = assemble(mesh, derive_parameters(self.EC), FRAME0, variant,
+                          tractions={"right": (0.0, 6.25)})
+        apply_dirichlet(system, {"left": (0.0, 0.0)})
+        _, _, K_ff, _ = _reduced(system)
+        negative = np.count_nonzero(np.linalg.eigvalsh(K_ff.toarray()) < 0)
+        assert negative > 0
+        with pytest.raises(IndefiniteSystem, match=f"^K_ff is not positive definite: {negative} negative pivots$"):
+            solve(system)
+
+    def test_conforming_variant_still_solves(self):
+        mesh = cook_mesh(8, 1)
+        system = assemble(mesh, derive_parameters(self.EC), FRAME0, V.Q1_CG,
+                          tractions={"right": (0.0, 6.25)})
+        apply_dirichlet(system, {"left": (0.0, 0.0)})
+        solve(system)
+        _, _, K_ff, _ = _reduced(system)
+        assert np.linalg.eigvalsh(K_ff.toarray()).min() > 0
+
+    def test_off_diagonal_pivot_is_refused(self):
+        # SuperLU can factorise [[0, 1], [1, 0]] only by swapping its rows
+        system = LinearSystem(sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0]),
+                              None, V.Q1_CG, FRAME0)
+        with pytest.raises(IndefiniteSystem, match="rows pivoted off the diagonal$"):
+            solve(system)
 
 
 class TestH1Error:

@@ -208,6 +208,30 @@ class TestCookCommand:
         assert code == 4
         assert "error:ValueError" in out.read_text()
 
+    def test_indefinite_reduced_variants_are_error_rows(self, tmp_path):
+        # an admissible material whose reduced variants have negative-energy
+        # modes on the panel: their K_ff has negative eigenvalues
+        out = tmp_path / "cook.csv"
+        code = main(["cook", "--Et", "152.066", "--p", "0.647", "--q", "1.265",
+                     "--nu-t", "-0.022", "--nu-l", "-0.546", "--angles", "0",
+                     "--refine", "8,16", "--out", str(out)])
+        assert code == 4
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        status = {(r[0], int(r[6])): r[14] for r in rows}
+        conforming = {"Q1_CG", "Q2_CG"}
+        assert {k: s for k, s in status.items() if k[0] not in conforming} == {
+            (v, n): "error:IndefiniteSystem"
+            for v in ("Q1_CG_UI_lambda", "Q1_CG_UI_beta", "Q1_CG_UI_betalambda",
+                      "Q1_MIXED_P0_beta")
+            for n in (8, 16)
+        }
+        tip_v = {(r[0], int(r[6])): float(r[10]) for r in rows if r[0] in conforming}
+        assert all(status[k] == "ok" for k in tip_v)
+        assert tip_v == pytest.approx({
+            ("Q1_CG", 8): 10.74518613945655, ("Q1_CG", 16): 13.810369756886931,
+            ("Q2_CG", 8): 15.557625482233075, ("Q2_CG", 16): 15.791026864858894,
+        }, rel=1e-9)
+
     def test_strict_preempts_run(self, tmp_path, capsys):
         code = main(
             ["cook", "--p", "0.5", "--variants", "Q1_CG", "--refine", "2", "--strict"]
