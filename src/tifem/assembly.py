@@ -9,8 +9,8 @@ u holds the prescribed values, zero on F.  The assembled matrix always covers
 all dofs.  F lists the free dofs node by node in the mesh's nested-dissection
 order (`QuadMesh.dissection`), and K_FF is gathered from K's data, already
 permuted, through the mesh's layout for F (`QuadMesh.free_layout`) and
-factorised with no further ordering; a system with no mesh keeps its own dof
-order and computes that layout afresh.
+factorised with no further ordering.  A LinearSystem holds K's values on its
+mesh's pattern, so every system takes this one path.
 
 Field functions (body force, tractions, Dirichlet data, exact solutions) are
 called once each as func(x, y) on coordinate arrays of quadrature points
@@ -32,7 +32,6 @@ from .elements import (
     FormulationVariant, _interpolate, _lagrange_1d, element_stiffness, gauss_rule_1d,
     geometry,
 )
-from .mesh import _free_layout
 
 
 class UnknownBoundaryTag(KeyError):
@@ -50,7 +49,7 @@ class IndefiniteSystem(SingularSystem):
 
 @dataclass
 class LinearSystem:
-    stiffness: sp.csr_matrix
+    data: np.ndarray             # K's values on mesh.pattern
     load: np.ndarray
     mesh: object
     variant: FormulationVariant
@@ -60,6 +59,13 @@ class LinearSystem:
     @property
     def n_dofs(self):
         return self.load.shape[0]
+
+    @property
+    def stiffness(self):
+        """K in CSR: a view of data on the mesh's pattern, nothing copied."""
+        pattern = self.mesh.pattern
+        return sp.csr_matrix((self.data, pattern.indices, pattern.indptr),
+                             shape=(self.n_dofs, self.n_dofs))
 
 
 @dataclass
@@ -116,7 +122,6 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
     Ke = element_stiffness(coords, mp, frame, variant)
     pattern = mesh.pattern
     data = np.bincount(pattern.slots().ravel(), Ke.ravel(), pattern.indices.size)
-    K = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(ndof, ndof))
 
     f = np.zeros(ndof)
     if body_force is not None:
@@ -136,7 +141,7 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
             ds = np.hypot(tx, ty)
             _add_load(f, enodes, vals, wts_1d * ds, ecoords, spec)
 
-    return LinearSystem(stiffness=K, load=f, mesh=mesh, variant=variant, frame=frame)
+    return LinearSystem(data=data, load=f, mesh=mesh, variant=variant, frame=frame)
 
 
 def apply_dirichlet(system, bcs=None, node_constraints=()):
@@ -176,34 +181,24 @@ def _reduced(system):
     u[list(system.constrained)] = list(system.constrained.values())
     mask = np.ones(system.n_dofs, dtype=bool)
     mask[list(system.constrained)] = False
-    K, mesh = system.stiffness, system.mesh
-    if mesh is None:
-        dofs = np.arange(system.n_dofs)
-    else:
-        dofs = (2 * mesh.dissection[:, None] + [0, 1]).ravel()
+    mesh = system.mesh
+    dofs = (2 * mesh.dissection[:, None] + [0, 1]).ravel()
     free = dofs[mask[dofs]]
     if free.size == 0:
         return free, u, None, None
-    if mesh is not None and _same_pattern(K, mesh.pattern):
-        take, indices, indptr = mesh.free_layout(free)
-    else:
-        take, indices, indptr = _free_layout(K.indptr, K.indices, free)
-    K_ff = sp.csc_matrix((K.data[take], indices, indptr), shape=(free.size, free.size))
-    return free, u, K_ff, (system.load - K @ u)[free]
-
-
-def _same_pattern(K, pattern):
-    return np.array_equal(K.indptr, pattern.indptr) and np.array_equal(K.indices, pattern.indices)
+    take, indices, indptr = mesh.free_layout(free)
+    K_ff = sp.csc_matrix((system.data[take], indices, indptr), shape=(free.size, free.size))
+    return free, u, K_ff, (system.load - system.stiffness @ u)[free]
 
 
 def solve(system):
     """Direct sparse solve with symmetric elimination of constrained dofs.
 
     K_ff must be SPD: the free dofs are taken in the mesh's nested-dissection
-    order (a system with no mesh keeps its own dof order), and splu factorises
-    K_ff in that order with diagonal pivots.  Other input raises
-    SingularSystem, IndefiniteSystem if a pivot shows K_ff is not positive
-    definite, or returns a solution the checks below verified."""
+    order, and splu factorises K_ff in that order with diagonal pivots.
+    Other input raises SingularSystem, IndefiniteSystem if a pivot shows K_ff
+    is not positive definite, or returns a solution the checks below
+    verified."""
     free, u, K_ff, rhs = _reduced(system)
     if free.size == 0:
         return FieldSolution(system.mesh, u)
@@ -213,8 +208,6 @@ def solve(system):
         u_f = lu.solve(rhs)
     except RuntimeError as err:
         raise SingularSystem(str(err)) from err
-    if not np.all(np.isfinite(u_f)):
-        raise SingularSystem("solver produced non-finite values")
     # One step of iterative refinement, then a backward-error check.  With
     # coefficient ratios up to 1e9 the plain load-relative residual floors
     # near eps * ||K|| * ||u||, so the contract is normwise backward error.

@@ -222,10 +222,8 @@ def p0_projected_term(coords, coefficient, which, frame=None):
     return coefficient * _reduced_term(_strain_matrix(dN), wdet, selector)[0]
 
 
-def one_point_term(coords, coefficient, which, frame=None):
-    """One-point under-integrated term: the matrix of p0_projected_term on every
-    Q1 element.  For a bilinear map, w det J dN/dx = w (dN/dxi dy/deta -
-    dN/deta dy/dxi) is bilinear in (xi, eta) and det J is affine, so int g and
-    |E| are exact on the one-point rule (xi = 0, w = 4) as on the 2x2 rule.
-    """
-    return p0_projected_term(coords, coefficient, which, frame)
+# One-point under-integrated term: the matrix of p0_projected_term on every
+# Q1 element.  For a bilinear map, w det J dN/dx = w (dN/dxi dy/deta -
+# dN/deta dy/dxi) is bilinear in (xi, eta) and det J is affine, so int g and
+# |E| are exact on the one-point rule (xi = 0, w = 4) as on the 2x2 rule.
+one_point_term = p0_projected_term

@@ -19,7 +19,8 @@ Systems, 1981): QuadMesh.pattern holds the CSR pattern of K over the
 interleaved dofs (node i owns 2i and 2i + 1) and where every element-matrix
 entry goes in its data, and QuadMesh.free_layout the CSC layout of K_FF for
 the last set of free dofs solved for.  Both are built on first use from the
-connectivity as it then is.
+connectivity as it then is.  A LinearSystem holds K's values on its mesh's
+pattern, so every K and K_FF of the mesh shares this bookkeeping.
 """
 
 import functools
@@ -98,20 +99,6 @@ class QuadMesh:
         local = _EDGE_LOCAL[local_edge, : self.order + 1]
         return self.elements[np.asarray(element)[..., None], local]
 
-    def dump(self, stream):
-        """Plain-text listing: one node / element / boundary entity per line."""
-        stream.write(f"nodes {self.n_nodes}\n")
-        for i, (x, y) in enumerate(self.nodes):
-            stream.write(f"{i} {x:.17g} {y:.17g}\n")
-        stream.write(f"elements {self.n_elements} order {self.order}\n")
-        for e, conn in enumerate(self.elements):
-            stream.write(f"{e} " + " ".join(str(n) for n in conn) + "\n")
-        for tag in sorted(self.boundary_edges):
-            pairs = self.boundary_edges[tag]
-            stream.write(f"boundary {tag} {len(pairs)}\n")
-            for elem, edge in pairs:
-                stream.write(f"{elem} {edge}\n")
-
 
 def _structured_mesh(nx, ny, order, mapping):
     """Grid of nx x ny cells on the unit square, nodes placed by `mapping`."""
@@ -184,7 +171,7 @@ def _stiffness_pattern(elements, n_nodes):
 
 
 def _free_layout(indptr, indices, free):
-    """K_FF = K[free][:, free] in CSC for any K with this CSR pattern, as
+    """K_FF = K[free][:, free] in CSC for every K with this CSR pattern, as
     (take, indices, indptr) with K_FF's data K.data[take].  It is scipy's own
     slice of a copy of the pattern valued by data position, so K_FF has
     exactly the layout that slicing K would give it."""

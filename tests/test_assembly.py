@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from tifem import (
     CookConfig,
@@ -26,7 +27,6 @@ from tifem import (
     solve,
 )
 from tifem import EngineeringConstants
-import tifem.assembly
 import tifem.mesh
 from tifem.assembly import _norm_inf, _reduced
 from conftest import sample_admissible
@@ -35,6 +35,20 @@ V = FormulationVariant
 
 MP_ISO = MaterialParameters(lam=2.0, mu_t=1.0, mu_l=1.0, alpha=0.0, beta=0.0)
 FRAME0 = FibreFrame.from_angle(0.0)
+
+
+def system_of(K, load):
+    """A system whose K_FF is the hand matrix K: K on the first dofs of a
+    one-element Q1 mesh, whose 8 x 8 pattern is dense, the other dofs held at 0."""
+    mesh = rectangle_mesh(1.0, 1.0, 1, 1)
+    k = len(K)
+    full = np.zeros((8, 8))
+    full[:k, :k] = K
+    rows = np.repeat(np.arange(8), np.diff(mesh.pattern.indptr))
+    system = LinearSystem(full[rows, mesh.pattern.indices], np.concatenate([load, np.zeros(8 - k)]),
+                          mesh, V.Q1_CG, FRAME0)
+    system.constrained.update(dict.fromkeys(range(k, 8), 0.0))
+    return system
 
 
 class TestAssemble:
@@ -196,13 +210,23 @@ class TestDirichletAndSolve:
         # solve expects SPD; anything else must raise or be solved correctly
         K = np.array(K)
         load = np.arange(1.0, K.shape[0] + 1)
-        system = LinearSystem(sp.csr_matrix(K), load, None, V.Q1_CG, FRAME0)
         try:
-            u = solve(system).displacements
+            u = solve(system_of(K, load)).displacements[: K.shape[0]]
         except SingularSystem:
             return
         u_oracle = np.linalg.solve(K, load)
         assert np.abs(u - u_oracle).max() <= 1e-12 * np.abs(u_oracle).max()
+
+    def test_hand_system_reduces_to_the_hand_matrix(self):
+        # system_of must hand solve exactly K and the load, whatever order
+        # the mesh's dissection takes the first two nodes in
+        K = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, -1.0, 2.0], 1) + np.diag([0.5, 3.0, -2.0], -1)
+        load = np.array([1.0, -2.0, 3.0, 0.5])
+        free, u, K_ff, rhs = _reduced(system_of(K, load))
+        assert sorted(free) == [0, 1, 2, 3]
+        assert np.array_equal(K_ff.toarray(), K[np.ix_(free, free)])
+        assert np.array_equal(rhs, load[free])
+        assert not u.any()
 
     def test_backward_error_norm_is_the_row_sum_norm(self):
         # largest absolute row sum 7 (row 1), largest column sum 9 (column 2)
@@ -314,10 +338,14 @@ class TestGather:
 
     def test_pattern_is_shared_read_only(self):
         mesh = rectangle_mesh(2.0, 1.0, 2, 1, order=1)
-        K = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG).stiffness
+        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG)
+        K = system.stiffness
         assert np.shares_memory(K.indices, mesh.pattern.indices)
+        assert np.shares_memory(K.data, system.data)
         with pytest.raises(ValueError, match="read-only"):
             K.indices[0] = 1
+        with pytest.raises(AttributeError):
+            system.stiffness = K
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("constraints", ["cook-clamp", "beam-edge-and-pin"])
@@ -346,20 +374,16 @@ class TestGather:
             assert np.array_equal(rhs, system.load[free] - K[free] @ u)
         assert sorted(np.flatnonzero(u)) == sorted(d for d, g in system.constrained.items() if g)
 
-    def test_stiffness_off_the_mesh_pattern_is_sliced_afresh(self):
+    def test_solve_reads_the_current_data(self):
+        # the cached layout holds positions only: K's values are read from
+        # system.data on every solve, and scaling K by 2 halves u exactly
         mesh = cook_mesh(3, 1)
         system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, tractions={"right": (0.0, 1.0)})
         apply_dirichlet(system, {"left": (0.0, 0.0)})
-        _reduced(system)  # caches the mesh's layout for these free dofs
-        # couple two dofs of far-apart nodes: an entry the mesh's pattern lacks
-        n = system.n_dofs
-        extra = sp.csr_matrix(([0.01, 0.01], ([10, n - 1], [n - 1, 10])), shape=(n, n))
-        system.stiffness = system.stiffness + extra
-        free, u, K_ff, rhs = _reduced(system)
-        oracle = system.stiffness[free][:, free].tocsc()
-        assert np.array_equal(K_ff.indices, oracle.indices)
-        assert np.array_equal(K_ff.data, oracle.data)
-        assert np.array_equal(rhs, system.load[free] - system.stiffness[free] @ u)
+        u = solve(system).displacements
+        system.data *= 2.0
+        assert np.array_equal(system.stiffness.data, system.data)
+        assert np.array_equal(solve(system).displacements, 0.5 * u)
 
     def test_sweep_builds_each_pattern_once(self, monkeypatch):
         calls = []
@@ -372,25 +396,12 @@ class TestGather:
 
         monkeypatch.setattr(tifem.mesh, "_stiffness_pattern",
                             counted("pattern", tifem.mesh._stiffness_pattern))
-        layout = counted("layout", tifem.mesh._free_layout)
-        monkeypatch.setattr(tifem.mesh, "_free_layout", layout)
-        monkeypatch.setattr(tifem.assembly, "_free_layout", layout)
+        monkeypatch.setattr(tifem.mesh, "_free_layout", counted("layout", tifem.mesh._free_layout))
         report = run_cook(CookConfig(p_list=(2.0, 10.0, 100.0), refine=(2, 4),
                                      variants=(V.Q1_CG, V.Q2_CG, V.Q1_CG_UI_lambda)))
         assert report.all_ok and len(report.rows) == 18
         # one pattern and one K_FF layout per mesh: 2 refinements x 2 orders
         assert sorted(calls) == ["layout"] * 4 + ["pattern"] * 4
-
-    def test_system_without_mesh_solves(self):
-        K = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, -1.0, 2.0], 1) + np.diag([1.0, -1.0, 2.0], -1)
-        load = np.array([1.0, -2.0, 3.0, 0.5])
-        system = LinearSystem(sp.csr_matrix(K), load, None, V.Q1_CG, FRAME0)
-        system.constrained[2] = 0.25
-        u = solve(system).displacements
-        free = [0, 1, 3]
-        oracle = np.linalg.solve(K[np.ix_(free, free)], load[free] - K[free, 2] * 0.25)
-        assert u[2] == 0.25
-        assert np.abs(u[free] - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 class TestIndefiniteSystem:
@@ -424,10 +435,28 @@ class TestIndefiniteSystem:
 
     def test_off_diagonal_pivot_is_refused(self):
         # SuperLU can factorise [[0, 1], [1, 0]] only by swapping its rows
-        system = LinearSystem(sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0]),
-                              None, V.Q1_CG, FRAME0)
         with pytest.raises(IndefiniteSystem, match="rows pivoted off the diagonal$"):
-            solve(system)
+            solve(system_of([[0.0, 1.0], [1.0, 0.0]], np.array([1.0, 2.0])))
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_solve_succeeds_exactly_when_k_ff_is_positive_definite(self, seed):
+        # random admissible materials and fibres on distorted Q1 and Q2 panels:
+        # the dense inertia of K_FF decides between a solution and a refusal
+        rng = np.random.default_rng(seed)
+        mp = derive_parameters(sample_admissible(rng))
+        frame = FibreFrame.from_angle(rng.uniform(0.0, math.pi))
+        meshes = {order: cook_mesh(3, order) for order in (1, 2)}
+        for variant in V:
+            system = assemble(meshes[variant.order], mp, frame, variant,
+                              tractions={"right": (0.0, 6.25)})
+            apply_dirichlet(system, {"left": (0.0, 0.0)})
+            _, _, K_ff, _ = _reduced(system)
+            if np.linalg.eigvalsh(K_ff.toarray()).min() > 0:
+                solve(system)
+            else:
+                with pytest.raises(IndefiniteSystem):
+                    solve(system)
 
 
 class TestH1Error:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -123,27 +122,6 @@ class TestCookMesh:
             for pair in pairs:
                 assert pair not in seen
                 seen.add(pair)
-
-
-class TestDump:
-    def test_roundtrippable_listing(self):
-        mesh = rectangle_mesh(1.0, 1.0, 2, 1, order=1)
-        buf = io.StringIO()
-        mesh.dump(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == f"nodes {mesh.n_nodes}"
-        assert f"elements {mesh.n_elements} order 1" in lines
-        coords = [list(map(float, ln.split()[1:])) for ln in lines[1 : 1 + mesh.n_nodes]]
-        assert np.allclose(coords, mesh.nodes)
-        # each tag: `boundary <tag> <count>`, then one `<element> <local edge>` line per edge
-        rest = lines[2 + mesh.n_nodes + mesh.n_elements :]
-        edges = {}
-        while rest:
-            word, tag, count = rest[0].split()
-            assert word == "boundary"
-            edges[tag] = [tuple(map(int, ln.split())) for ln in rest[1 : 1 + int(count)]]
-            rest = rest[1 + int(count) :]
-        assert edges == {t: [tuple(e) for e in es] for t, es in mesh.boundary_edges.items()}
 
 
 REF_1D = np.array([-1.0, 1.0, 0.0])
