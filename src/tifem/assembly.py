@@ -29,8 +29,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elements import (
-    FormulationVariant, _interpolate, _lagrange_1d, element_stiffness, gauss_rule_1d,
-    geometry,
+    FormulationVariant, _interpolate, _lagrange_1d, gauss_rule_1d, geometry, moments,
+    stiffness_blocks,
 )
 
 
@@ -115,16 +115,19 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
     """
     if variant.order != mesh.order:
         raise ValueError(f"{variant.value} needs an order-{variant.order} mesh")
-    ndof = 2 * mesh.n_nodes
     conn = mesh.elements
-    coords = mesh.nodes[conn]
-
-    Ke = element_stiffness(coords, mp, frame, variant)
+    full = mesh.cached("moments", lambda: moments(mesh.nodes[conn], mesh.order))
+    reduced = None
+    if variant.reduced:
+        reduced = mesh.cached("reduced moments",
+                              lambda: moments(mesh.nodes[conn], 1, reduced=True))
+    Ke = stiffness_blocks(mp, frame, variant, full, reduced)
     pattern = mesh.pattern
     data = np.bincount(pattern.slots().ravel(), Ke.ravel(), pattern.indices.size)
 
-    f = np.zeros(ndof)
+    f = np.zeros(2 * mesh.n_nodes)
     if body_force is not None:
+        coords = mesh.nodes[conn]
         vals, _, wdet = geometry(coords, mesh.order, mesh.order + 1)
         _add_load(f, conn, vals, wdet, coords, body_force)
 
@@ -247,6 +250,14 @@ def _norm_inf(A):
     return np.bincount(A.indices, np.abs(A.data), A.shape[0]).max()
 
 
+def _error_rule(mesh):
+    """Shape values, physical gradients and weight * det J (`geometry`) on
+    the rule two orders above the element order, and its points' x and y."""
+    coords = mesh.nodes[mesh.elements]
+    vals, dN, wdet = geometry(coords, mesh.order, mesh.order + 2)
+    return (vals, dN, wdet, *np.swapaxes(_interpolate(coords, vals), 0, 1))
+
+
 def h1_error(solution, exact_u, exact_grad, relative=False):
     """Full H1 and L2 errors against exact displacement and gradient fields.
 
@@ -256,11 +267,8 @@ def h1_error(solution, exact_u, exact_grad, relative=False):
     both errors are normalized by the corresponding norms of the exact field.
     """
     mesh = solution.mesh
-    conn = mesh.elements
-    coords = mesh.nodes[conn]
-    vals, dN, wdet = geometry(coords, mesh.order, mesh.order + 2)
-    ue = solution.displacements.reshape(-1, 2)[conn]           # (E, n, 2)
-    x, y = np.swapaxes(_interpolate(coords, vals), 0, 1)
+    vals, dN, wdet, x, y = mesh.cached("error rule", lambda: _error_rule(mesh))
+    ue = solution.displacements.reshape(-1, 2)[mesh.elements]  # (E, n, 2)
     uh = np.swapaxes(_interpolate(ue, vals), 1, 2)
     Gh = np.swapaxes(ue, 1, 2)[:, None] @ dN                   # du_i/dx_j
     ux = _at_points(exact_u, x, y, (2,))

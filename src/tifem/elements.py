@@ -6,7 +6,19 @@ beta extensional term, gamma shear-difference term).  The under-integrated
 variants evaluate the designated term with the one-point Gauss rule; the
 mixed variant condenses an elementwise-constant multiplier, which is the
 elementwise L2 projection of the extensional strain onto constants.  The two
-coincide on every Q1 element, and the kernel builds both from its 2x2 rule.
+coincide on every Q1 element: each is (int g)(int g)^T / |E| with g the
+term's integrand (Malkus and Hughes, CMAME 15, 1978).
+
+The form is linear in the material coefficients, so the kernel splits in two
+(Kirby and Logg, ACM TOMS 32(3), 2006).  The element moments M_jl = int
+dN_a/dx_j dN_b/dx_l on the kernel's own rule, and the reduced moments
+(int dN_a/dx_j)(int dN_b/dx_l) / |E| from the same rule, hold all of the
+geometry and none of the material (`moments`); each stiffness contracts them
+with the material's 4 x 4 coefficients in gradient form (`stiffness_blocks`).
+`assembly.assemble` keeps a mesh's moments on the mesh (`QuadMesh.cached`),
+built on first use from the nodes as they are at that time, and contracts
+them for every operator; `element_stiffness` and `p0_projected_term` build
+them from their coordinates on every call.
 """
 
 import enum
@@ -150,33 +162,102 @@ def geometry(coords, order, n_gauss):
     return vals[:q], grads[:q] @ inv.reshape(-1, q, 2, 2), rule.weights * detJ
 
 
-def _strain_matrix(dN):
-    """Voigt B matrices (..., 3, 2n) from physical gradients (..., n, 2)."""
-    B = np.zeros(dN.shape[:-2] + (3, 2 * dN.shape[-2]))
-    B[..., 0, 0::2] = dN[..., 0]
-    B[..., 1, 1::2] = dN[..., 1]
-    B[..., 2, 0::2] = dN[..., 1]
-    B[..., 2, 1::2] = dN[..., 0]
-    return B
+# Voigt row (strain 11, 22, 2*12) of each displacement-gradient component
+# du_i/dx_j, in the order ij = 00, 01, 10, 11: with S the (3, 4) matrix taking
+# the gradient to the strain, S^T D S = D[_VOIGT][:, _VOIGT] and S^T s = s[_VOIGT].
+_VOIGT = [0, 2, 2, 1]
 
 
-def _selector(term, frame):
-    """Voigt selector s (strain ordering 11, 22, 2*12) of the lam-term or the
-    beta-term: s . eps is the divergence or the fibre strain a . eps a."""
+def _reduced_coefficient(term, coefficient, frame):
+    """coefficient (S^T s)(S^T s)^T, the gradient-form coefficient of a reduced
+    term, from the Voigt selector s (strain ordering 11, 22, 2*12) of the
+    lam-term or the beta-term: s . eps is the divergence or the fibre strain
+    a . eps a."""
     if term == "lam":
-        return np.array([1.0, 1.0, 0.0])
-    if frame is None:
+        s = np.array([1.0, 1.0, 0.0])
+    elif frame is None:
         raise ValueError("extensional term needs a fibre frame")
-    a1, a2 = _in_plane(frame)
-    return np.array([a1 * a1, a2 * a2, a1 * a2])
+    else:
+        a1, a2 = _in_plane(frame)
+        s = np.array([a1 * a1, a2 * a2, a1 * a2])
+    t = s[_VOIGT]
+    return coefficient * np.outer(t, t)
 
 
-def _reduced_term(B, wdet, selector):
-    """Unit-coefficient terms (int g)(int g)^T / |E| with g = B^T selector,
-    from B (E, q, 3, 2n) and weight * det J (E, q) on a rule exact for g."""
-    E, q, _, ndof = B.shape
-    g = ((wdet[..., None] * selector).reshape(E, 1, 3 * q) @ B.reshape(E, 3 * q, ndof))[:, 0]
-    return g[:, :, None] * g[:, None, :] / wdet.sum(axis=1)[:, None, None]
+def _moments(dN, wdet):
+    """sum_q wdet[e, q] dN[e, q, a, j] dN[e, q, b, l] as (3, E, n, n) for
+    jl = 00, 01, 11: one (n, q) @ (q, n) product per element and block."""
+    wdN = np.swapaxes(wdet[..., None, None] * dN, 1, 3)
+    return np.stack([wdN[:, j] @ dN[..., l] for j, l in ((0, 0), (0, 1), (1, 1))])
+
+
+def _integrated(dN, wdet):
+    """The gradients and weights of a one-point rule on which _moments gives
+    the reduced moments (int dN_a/dx_j)(int dN_b/dx_l) / |E|: int dN as
+    (E, 1, n, 2) and 1 / |E| as (E, 1)."""
+    return (np.sum(wdet[..., None, None] * dN, axis=1, keepdims=True),
+            1.0 / wdet.sum(axis=1, keepdims=True))
+
+
+def moments(coords, order, reduced=False):
+    """Material-free element moments on the kernel's (order + 1)^2 rule.
+
+    coords: (E, n, 2).  Returns M_jl[e, a, b] = sum_q w det J dN_a/dx_j
+    dN_b/dx_l as (3, E, n, n) for jl = 00, 01, 11 (M_10 = M_01^T), or with
+    reduced=True the reduced moments (int dN_a/dx_j)(int dN_b/dx_l) / |E|.
+    """
+    _, dN, wdet = geometry(coords, order, order + 1)
+    return _moments(*_integrated(dN, wdet)) if reduced else _moments(dN, wdet)
+
+
+def _blocks(terms):
+    """Element matrices from (C, moments) pairs, C (4, 4) a symmetric
+    coefficient over the gradient components ij = 00, 01, 10, 11 and moments
+    (3, E, n, n) as `moments` gives them.  Returns (2, 2, E, n, n), exactly
+    symmetric: K[i, k, e, a, b] is entry (2a + i, 2b + k) of element e's
+    matrix, the sum over the pairs of sum_jl C[ij, kl] M_jl[e, a, b].
+
+    The four blocks ik come from one (4, 3) @ (3, E n^2) product per pair:
+    the symmetrisation turns the M_10 = M_01^T part into a second M_01 part.
+    """
+    def product(C, M):
+        C = C.reshape(2, 2, 2, 2)
+        fold = np.stack([C[:, 0, :, 0], 2.0 * C[:, 0, :, 1], C[:, 1, :, 1]], axis=-1)
+        return fold.reshape(4, 3) @ M.reshape(3, -1)
+
+    (C, M), *rest = terms
+    K = product(C, M)
+    for C_term, M_term in rest:
+        K += product(C_term, M_term)
+    K = K.reshape((2, 2) + M.shape[1:])
+    K += K.transpose(1, 0, 2, 4, 3)
+    K *= 0.5
+    return K
+
+
+def stiffness_blocks(mp, frame, variant, full, reduced=None):
+    """Element stiffness blocks (2, 2, E, n, n), laid out as `_blocks` gives
+    them, from the element moments `full` and, for a variant with reduced
+    terms, the reduced moments.
+
+    The terms integrated in full contract D in gradient form, S^T D S, made
+    exactly symmetric; each reduced term contracts its `_reduced_coefficient`
+    with the reduced moments.
+    """
+    D = plane_strain_stiffness(replace(mp, **dict.fromkeys(variant.reduced, 0.0)), frame)
+    C = D[np.ix_(_VOIGT, _VOIGT)]
+    terms = [(0.5 * (C + C.T), full)]
+    if variant.reduced:
+        C_red = sum(_reduced_coefficient(term, getattr(mp, term), frame)
+                    for term in variant.reduced)
+        terms.append((C_red, reduced))
+    return _blocks(terms)
+
+
+def _interleaved(K):
+    """(E, 2n, 2n) element matrices from blocks (2, 2, E, n, n)."""
+    _, _, E, n, _ = K.shape
+    return K.transpose(2, 3, 0, 4, 1).reshape(E, 2 * n, 2 * n)
 
 
 def element_stiffness(coords, mp, frame, variant):
@@ -192,18 +273,10 @@ def element_stiffness(coords, mp, frame, variant):
         raise ValueError(
             f"{variant.value} expects {n_expected} nodes, got shape {coords.shape}"
         )
-    reduced = variant.reduced
-    D = plane_strain_stiffness(replace(mp, **dict.fromkeys(reduced, 0.0)), frame)
     _, dN, wdet = geometry(coords.reshape(-1, n_expected, 2), order, order + 1)
-    B = _strain_matrix(dN)
-    E, q, _, ndof = B.shape
-    Bw = (B * wdet[..., None, None]).reshape(E, 3 * q, ndof)
-    K = np.swapaxes(Bw, 1, 2) @ (D @ B).reshape(E, 3 * q, ndof)
-    for term in reduced:
-        K += getattr(mp, term) * _reduced_term(B, wdet, _selector(term, frame))
-    K += np.swapaxes(K, 1, 2)
-    K *= 0.5
-    return K.reshape(coords.shape[:-2] + (ndof, ndof))
+    reduced = _moments(*_integrated(dN, wdet)) if variant.reduced else None
+    K = stiffness_blocks(mp, frame, variant, _moments(dN, wdet), reduced)
+    return _interleaved(K).reshape(coords.shape[:-2] + (2 * n_expected,) * 2)
 
 
 def p0_projected_term(coords, coefficient, which, frame=None):
@@ -214,12 +287,11 @@ def p0_projected_term(coords, coefficient, which, frame=None):
     """
     if which not in _COEFFICIENT:
         raise ValueError(f"unknown term selector {which!r}")
-    selector = _selector(_COEFFICIENT[which], frame)
+    C = _reduced_coefficient(_COEFFICIENT[which], coefficient, frame)
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (4, 2):
         raise ValueError("reduced terms are defined for order-1 elements")
-    _, dN, wdet = geometry(coords[None], 1, 2)
-    return coefficient * _reduced_term(_strain_matrix(dN), wdet, selector)[0]
+    return _interleaved(_blocks([(C, moments(coords[None], 1, reduced=True))]))[0]
 
 
 # One-point under-integrated term: the matrix of p0_projected_term on every

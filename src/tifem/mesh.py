@@ -21,6 +21,12 @@ entry goes in its data, and QuadMesh.free_layout the CSC layout of K_FF for
 the last set of free dofs solved for.  Both are built on first use from the
 connectivity as it then is.  A LinearSystem holds K's values on its mesh's
 pattern, so every K and K_FF of the mesh shares this bookkeeping.
+
+The floating-point geometry is likewise kept per mesh (QuadMesh.cached): the
+material-free element moments that every stiffness on the mesh contracts
+(`elements.moments`), and the error rule's shape values, gradients, weights
+and points.  Like the pattern, each is built on first use, from the nodes as
+they are at that time.
 """
 
 import functools
@@ -49,13 +55,13 @@ class StiffnessPattern(NamedTuple):
     step: np.ndarray             # (E, n) int32 data distance from dof row 2i to row 2i + 1
 
     def slots(self):
-        """(E, 2n, 2n) index into the data of every element-matrix entry."""
-        E, n, _ = self.block.shape
-        slot = np.empty((E, n, 2, n, 2), np.int32)
-        slot[:, :, 0, :, 0] = self.block
-        slot[:, :, 1, :, 0] = self.block + self.step[:, :, None]
-        slot[..., 1] = slot[..., 0] + 1
-        return slot.reshape(E, 2 * n, 2 * n)
+        """(2, 2, E, n, n) index into the data of every element-matrix entry:
+        [a, b, e, l, m] holds that of entry (2l + a, 2m + b) of element e."""
+        slot = np.empty((2, 2) + self.block.shape, np.int32)
+        slot[0, 0] = self.block
+        slot[1, 0] = self.block + self.step[:, :, None]
+        slot[:, 1] = slot[:, 0] + 1
+        return slot
 
 
 @dataclass
@@ -68,6 +74,7 @@ class QuadMesh:
     order: int                   # 1 or 2
     dissection: np.ndarray       # (n_nodes,) node elimination order
     _layout: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self):
@@ -92,6 +99,18 @@ class QuadMesh:
             self._layout.clear()
             self._layout[key] = _free_layout(self.pattern.indptr, self.pattern.indices, free)
         return self._layout[key]
+
+    def cached(self, key, build):
+        """build(), an array or a tuple of arrays, on the first call with this
+        key, kept read-only for every later call: the element moments and the
+        error rule's geometry are built once per mesh, like the pattern, from
+        the nodes as they are at that time."""
+        if key not in self._cache:
+            value = build()
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
+            self._cache[key] = value
+        return self._cache[key]
 
     def edge_nodes(self, element, local_edge):
         """Node indices along a local edge, endpoints first, midside last; for

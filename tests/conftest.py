@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tifem import EngineeringConstants, check_stability
+from tifem import EngineeringConstants, check_stability, cook_mesh
+from tifem.mesh import COOK_CORNERS
 
 
 def sample_admissible(rng, E_t_range=(0.5, 300.0), margin=1e-2):
@@ -32,6 +33,18 @@ def random_quad(rng, scale=1.0):
         quad = base + rng.uniform(-0.2 * scale, 0.2 * scale, size=(4, 2))
         if _is_convex_ccw(quad):
             return quad
+
+
+def distorted_cook_mesh(n, order, rng):
+    """cook_mesh(n, order) with every interior node moved at random by up to
+    a fifth of the smallest node spacing: general quadrilaterals, and for
+    Q2 curved edges too."""
+    mesh = cook_mesh(n, order)
+    boundary = np.unique(np.concatenate([*map(np.asarray, mesh.boundary_nodes.values())]))
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), boundary)
+    spacing = (COOK_CORNERS[2, 1] - COOK_CORNERS[1, 1]) / (n * order)
+    mesh.nodes[interior] += rng.uniform(-0.2, 0.2, size=(interior.size, 2)) * spacing
+    return mesh
 
 
 def random_parallelogram(rng, scale=1.0):

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from tifem import (
+    BeamConfig,
     CookConfig,
     FibreFrame,
     FormulationVariant,
@@ -23,13 +24,15 @@ from tifem import (
     element_stiffness,
     h1_error,
     rectangle_mesh,
+    run_beam,
     run_cook,
     solve,
 )
 from tifem import EngineeringConstants
+import tifem.assembly
 import tifem.mesh
 from tifem.assembly import _norm_inf, _reduced
-from conftest import sample_admissible
+from conftest import distorted_cook_mesh, sample_admissible
 
 V = FormulationVariant
 
@@ -325,10 +328,13 @@ class TestGather:
 
     @pytest.mark.parametrize("variant", list(V))
     def test_stiffness_matches_the_coo_sum(self, variant, rng):
-        mesh = cook_mesh(3, variant.order)
+        mesh = distorted_cook_mesh(3, variant.order, rng)
         mp = derive_parameters(sample_admissible(rng))
         frame = FibreFrame.from_angle(0.7)
         K = assemble(mesh, mp, frame, variant).stiffness
+        # every element matrix is exactly symmetric, and K sums each entry
+        # and its mirror image in the same order
+        assert (K != K.T).nnz == 0
         oracle = self.coo_oracle(mesh, element_stiffness(mesh.nodes[mesh.elements], mp, frame, variant))
         # same entries, none dropped or doubled, each summed to a few ulp
         assert K.has_canonical_format
@@ -397,11 +403,29 @@ class TestGather:
         monkeypatch.setattr(tifem.mesh, "_stiffness_pattern",
                             counted("pattern", tifem.mesh._stiffness_pattern))
         monkeypatch.setattr(tifem.mesh, "_free_layout", counted("layout", tifem.mesh._free_layout))
+        moments = tifem.assembly.moments
+
+        def counted_moments(coords, order, reduced=False):
+            calls.append("reduced moments" if reduced else "moments")
+            return moments(coords, order, reduced)
+
+        monkeypatch.setattr(tifem.assembly, "moments", counted_moments)
+        monkeypatch.setattr(tifem.assembly, "_error_rule",
+                            counted("error rule", tifem.assembly._error_rule))
         report = run_cook(CookConfig(p_list=(2.0, 10.0, 100.0), refine=(2, 4),
                                      variants=(V.Q1_CG, V.Q2_CG, V.Q1_CG_UI_lambda)))
         assert report.all_ok and len(report.rows) == 18
-        # one pattern and one K_FF layout per mesh: 2 refinements x 2 orders
-        assert sorted(calls) == ["layout"] * 4 + ["pattern"] * 4
+        # one pattern, K_FF layout and set of moments per mesh (2 refinements x
+        # 2 orders), and reduced moments per Q1 mesh
+        assert sorted(calls) == (["layout"] * 4 + ["moments"] * 4 + ["pattern"] * 4
+                                 + ["reduced moments"] * 2)
+        calls.clear()
+        report = run_beam(BeamConfig(p_list=(3.0, 1e4), refine=(5, 10),
+                                     variants=(V.Q1_CG, V.Q2_CG, V.Q1_CG_UI_beta)))
+        assert report.all_ok and len(report.rows) == 12
+        # the error rule's geometry too is built once per mesh
+        assert sorted(calls) == (["error rule"] * 4 + ["layout"] * 4 + ["moments"] * 4
+                                 + ["pattern"] * 4 + ["reduced moments"] * 2)
 
 
 class TestIndefiniteSystem:
@@ -457,6 +481,67 @@ class TestIndefiniteSystem:
             else:
                 with pytest.raises(IndefiniteSystem):
                     solve(system)
+
+
+class TestContracts:
+    """The patch test, theta = theta + pi and the scaling in E_t, for all six
+    variants on distorted panels with random admissible materials and fibres."""
+
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_linear_field_is_reproduced(self, seed):
+        # a linear displacement held on every boundary node is the discrete
+        # solution at every interior node; a system that solve refuses as
+        # indefinite (a reduced variant's K_FF can be) is checked through
+        # its dense solve
+        rng = np.random.default_rng(seed)
+        mp = derive_parameters(sample_admissible(rng))
+        frame = FibreFrame.from_angle(rng.uniform(0.0, math.pi))
+        G = rng.uniform(-1e-2, 1e-2, size=(2, 2))
+        c = rng.uniform(-1.0, 1.0, size=2)
+
+        def linear(x, y):
+            return c[0] + G[0, 0] * x + G[0, 1] * y, c[1] + G[1, 0] * x + G[1, 1] * y
+
+        for variant in V:
+            mesh = distorted_cook_mesh(4, variant.order, rng)
+            system = assemble(mesh, mp, frame, variant)
+            apply_dirichlet(system, dict.fromkeys(("left", "right", "top", "bottom"), linear))
+            try:
+                u = solve(system).displacements
+            except IndefiniteSystem:
+                free, u, K_ff, rhs = _reduced(system)
+                u[free] = np.linalg.solve(K_ff.toarray(), rhs)
+            exact = np.column_stack(linear(*mesh.nodes.T)).ravel()
+            assert np.abs(u - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("variant", list(V))
+    def test_fibre_angle_is_taken_modulo_pi(self, variant, rng):
+        mesh = distorted_cook_mesh(3, variant.order, rng)
+        mp = derive_parameters(sample_admissible(rng))
+        theta = rng.uniform(0.0, math.pi)
+        K = assemble(mesh, mp, FibreFrame.from_angle(theta), variant).data
+        K_pi = assemble(mesh, mp, FibreFrame.from_angle(theta + math.pi), variant).data
+        # a = -a up to the rounding of cos and sin
+        assert np.abs(K_pi - K).max() <= 1e-13 * np.abs(K).max()
+
+    @pytest.mark.parametrize("variant", list(V))
+    def test_stiffness_and_displacements_scale_with_e_t(self, variant, rng):
+        # scaling E_t by 2^k scales every coefficient, K and the pivots
+        # exactly, so K by 2^k and u by 2^-k bit for bit
+        mesh = distorted_cook_mesh(3, variant.order, rng)
+        ec = sample_admissible(rng)
+        frame = FibreFrame.from_angle(rng.uniform(0.0, math.pi))
+        results = {}
+        for k in (0, -7, 5):
+            mp = derive_parameters(ec._replace(E_t=ec.E_t * 2.0**k))
+            system = assemble(mesh, mp, frame, variant, tractions={"right": (0.0, 6.25)})
+            apply_dirichlet(system, {"left": (0.0, 0.0)})
+            results[k] = system.data, solve(system).displacements
+        K, u = results[0]
+        for k in (-7, 5):
+            assert np.array_equal(results[k][0], 2.0**k * K)
+            assert np.array_equal(results[k][1], 2.0**-k * u)
 
 
 class TestH1Error:
