@@ -37,6 +37,7 @@ from .assembly import (
     apply_dirichlet,
     assemble,
     h1_error,
+    load_vector,
     solve,
 )
 from .benchmarks import (

@@ -18,6 +18,10 @@ called once each as func(x, y) on coordinate arrays of quadrature points
 ((ux, uy), (vx, vy)), as tuples, lists or leading axes of an array ending in
 x's axes; each is a scalar or broadcasts to x.shape.  A constant stands for
 its value.  Components not nested to the expected shape raise ValueError.
+The load is integrated by `load_vector`, which `assemble` calls; a sweep
+that solves many operators on one mesh under one load (`benchmarks._sweep`)
+integrates it once per mesh, so its field function is called once per mesh,
+not once per operator.
 """
 
 from dataclasses import dataclass, field
@@ -82,8 +86,10 @@ def _at_points(func, x, y, shape):
     val = func(x, y) if callable(func) else func
     if (got := _layout(val, x.ndim)) != shape:
         raise ValueError(f"field components have shape {got}, expected {shape}")
-    comps = [np.broadcast_to(reduce(getitem, i, val), x.shape) for i in np.ndindex(shape)]
-    return np.stack(comps, axis=-1, dtype=float).reshape(x.shape + shape)
+    out = np.empty(x.shape + shape)
+    for i in np.ndindex(shape):  # broadcast and convert each component in place
+        np.copyto(out[(..., *i)], reduce(getitem, i, val), casting="same_kind")
+    return out
 
 
 def _layout(val, ndim):
@@ -107,24 +113,14 @@ def _add_load(f, conn, vals, wmeas, coords, spec):
     np.add.at(f.reshape(-1, 2), conn, np.swapaxes(fe, 1, 2))
 
 
-def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
-    """Assemble the global stiffness and load for one formulation variant.
+def load_vector(mesh, body_force=None, tractions=None):
+    """The load f (2 n_nodes,): int N_a b dx over the elements plus int N_a t ds
+    over each tagged boundary.
 
     body_force and each tractions[tag] are field functions or constants with
     components (fx, fy); each is called once (see the module docstring).
     """
-    if variant.order != mesh.order:
-        raise ValueError(f"{variant.value} needs an order-{variant.order} mesh")
     conn = mesh.elements
-    full = mesh.cached("moments", lambda: moments(mesh.nodes[conn], mesh.order))
-    reduced = None
-    if variant.reduced:
-        reduced = mesh.cached("reduced moments",
-                              lambda: moments(mesh.nodes[conn], 1, reduced=True))
-    Ke = stiffness_blocks(mp, frame, variant, full, reduced)
-    pattern = mesh.pattern
-    data = np.bincount(pattern.slots().ravel(), Ke.ravel(), pattern.indices.size)
-
     f = np.zeros(2 * mesh.n_nodes)
     if body_force is not None:
         coords = mesh.nodes[conn]
@@ -143,8 +139,26 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
             tx, ty = np.swapaxes(_interpolate(ecoords, ders), 0, 1)  # tangent
             ds = np.hypot(tx, ty)
             _add_load(f, enodes, vals, wts_1d * ds, ecoords, spec)
+    return f
 
-    return LinearSystem(data=data, load=f, mesh=mesh, variant=variant, frame=frame)
+
+def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
+    """Assemble the global stiffness and load for one formulation variant.
+
+    The load is `load_vector(mesh, body_force, tractions)`.
+    """
+    if variant.order != mesh.order:
+        raise ValueError(f"{variant.value} needs an order-{variant.order} mesh")
+    full = mesh.cached("moments", lambda: moments(mesh.nodes[mesh.elements], mesh.order))
+    reduced = None
+    if variant.reduced:
+        reduced = mesh.cached("reduced moments",
+                              lambda: moments(mesh.nodes[mesh.elements], 1, reduced=True))
+    Ke = stiffness_blocks(mp, frame, variant, full, reduced)
+    pattern = mesh.pattern
+    data = np.bincount(pattern.slots().ravel(), Ke.ravel(), pattern.indices.size)
+    return LinearSystem(data=data, load=load_vector(mesh, body_force, tractions), mesh=mesh,
+                        variant=variant, frame=frame)
 
 
 def apply_dirichlet(system, bcs=None, node_constraints=()):
@@ -169,8 +183,10 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
                 dofs = (2 * nodes + comp).tolist()
                 constrained.update(zip(dofs, _at_points(g, x, y, ()).tolist()))
     for node, comp, value in node_constraints:
+        # bool is an int, and True == 1: a flag is no node or component
+        is_flag = isinstance(node, (bool, np.bool_)) or isinstance(comp, (bool, np.bool_))
         is_node = isinstance(node, (int, np.integer)) and 0 <= node < mesh.n_nodes
-        if not is_node or comp not in (0, 1):
+        if is_flag or not is_node or comp not in (0, 1):
             raise ValueError(f"pin ({node!r}, {comp!r}) not in [0, {mesh.n_nodes}) x {{0, 1}}")
         constrained[2 * int(node) + int(comp)] = float(value)
     system.constrained.update(constrained)
@@ -180,10 +196,13 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
 def _reduced(system):
     """Free dofs F, u holding the prescribed values (zero on F), and K_FF
     (CSC) and rhs = (f - K u)_F of the eliminated system."""
+    constrained = system.constrained
+    fixed = np.fromiter(constrained, np.intp, len(constrained))
+    values = np.fromiter(constrained.values(), float, len(constrained))
     u = np.zeros(system.n_dofs)
-    u[list(system.constrained)] = list(system.constrained.values())
+    u[fixed] = values
     mask = np.ones(system.n_dofs, dtype=bool)
-    mask[list(system.constrained)] = False
+    mask[fixed] = False
     mesh = system.mesh
     dofs = (2 * mesh.dissection[:, None] + [0, 1]).ravel()
     free = dofs[mask[dofs]]
@@ -191,7 +210,9 @@ def _reduced(system):
         return free, u, None, None
     take, indices, indptr = mesh.free_layout(free)
     K_ff = sp.csc_matrix((system.data[take], indices, indptr), shape=(free.size, free.size))
-    return free, u, K_ff, (system.load - system.stiffness @ u)[free]
+    # with every prescribed value 0, K u = 0 and rhs = f_F
+    f = system.load - system.stiffness @ u if values.any() else system.load
+    return free, u, K_ff, f[free]
 
 
 def solve(system):
@@ -234,7 +255,8 @@ def solve(system):
     if size.min() <= 1e-13 * size.max():
         raise SingularSystem("factorisation produced a negligible pivot")
     negative = np.count_nonzero(pivots < 0)
-    permuted = not np.array_equal(lu.perm_r, np.arange(free.size))
+    perm = lu.perm_r
+    permuted = (perm[1:] <= perm[:-1]).any()  # a permutation is the identity iff increasing
     if negative or permuted:
         raise IndefiniteSystem(
             f"K_ff is not positive definite: {negative} negative pivots"
@@ -252,9 +274,14 @@ def _norm_inf(A):
 
 def _error_rule(mesh):
     """Shape values, physical gradients and weight * det J (`geometry`) on
-    the rule two orders above the element order, and its points' x and y."""
+    the rule two orders above the element order, and its points' x and y.
+    The gradients are laid out (E, n, 2q), [e, a, 2k + j] = dN_a/dx_j at
+    point k, so that one (2, n) @ (n, 2q) product per element gives a
+    field's gradient at every point."""
     coords = mesh.nodes[mesh.elements]
     vals, dN, wdet = geometry(coords, mesh.order, mesh.order + 2)
+    E, q, n, _ = dN.shape
+    dN = np.swapaxes(dN, 1, 2).reshape(E, n, 2 * q)
     return (vals, dN, wdet, *np.swapaxes(_interpolate(coords, vals), 0, 1))
 
 
@@ -268,9 +295,10 @@ def h1_error(solution, exact_u, exact_grad, relative=False):
     """
     mesh = solution.mesh
     vals, dN, wdet, x, y = mesh.cached("error rule", lambda: _error_rule(mesh))
-    ue = solution.displacements.reshape(-1, 2)[mesh.elements]  # (E, n, 2)
+    ue = solution.displacements.reshape(-1, 2).take(mesh.elements, axis=0)  # (E, n, 2)
     uh = np.swapaxes(_interpolate(ue, vals), 1, 2)
-    Gh = np.swapaxes(ue, 1, 2)[:, None] @ dN                   # du_i/dx_j
+    Gh = np.swapaxes(ue, 1, 2) @ dN                            # (E, 2, 2q)
+    Gh = np.swapaxes(Gh.reshape(x.shape[0], 2, -1, 2), 1, 2)   # du_i/dx_j
     ux = _at_points(exact_u, x, y, (2,))
     Gx = _at_points(exact_grad, x, y, (2, 2))
     l2_sq = np.sum(wdet * np.sum((uh - ux) ** 2, axis=-1))

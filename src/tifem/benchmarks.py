@@ -7,12 +7,13 @@ to CSV.  Failed rows are kept with an error marker instead of being dropped.
 
 import functools
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
 from . import material as mat
-from .assembly import apply_dirichlet, assemble, h1_error, solve
+from .assembly import apply_dirichlet, assemble, h1_error, load_vector, solve
 from .elements import FormulationVariant
 from .mesh import COOK_CORNERS, cook_mesh, rectangle_mesh
 
@@ -81,6 +82,9 @@ class ReportRow:
     status: str = "ok"
 
 
+_csv_fields = attrgetter(*(f.name for f in fields(ReportRow)))
+
+
 @dataclass
 class ErrorReport:
     rows: list = field(default_factory=list)
@@ -114,7 +118,7 @@ class ErrorReport:
                 return v
             return f"{float(v):.17g}"
 
-        lines = [CSV_HEADER] + [",".join(map(fmt, astuple(r))) for r in self.rows]
+        lines = [CSV_HEADER] + [",".join(map(fmt, _csv_fields(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     @property
@@ -129,15 +133,24 @@ class ErrorReport:
 def _sweep(cfg, make_mesh, solve_row):
     """Rows over cfg's variants x p_list x angles x refine, sorted.
 
-    make_mesh(refine, order) runs once per pair; solve_row(mesh, mp,
-    frame, variant) returns the row's result fields.  Rows with equal
-    refine, p, angle, order and reduced terms have the same operator and
-    share one solve_row call, as Q1_CG_UI_beta and Q1_MIXED_P0_beta do.  A
-    row that fails for any reason keeps its inputs and an error marker; a
-    failed solve is not shared, so the next row with its key tries again.
+    Each quantity is made where it is constant.  make_mesh(refine, order)
+    runs once per pair and returns a case: the mesh first, then what the
+    driver keeps per mesh (its load, the nodes it reads).  The material
+    (mp, frame) is derived once per (p, angle); each row still checks its
+    stability.  solve_row(case, mp, frame, variant) returns the row's result
+    fields.  Rows with equal refine, p, angle, order and reduced terms have
+    the same operator and share one solve_row call, as Q1_CG_UI_beta and
+    Q1_MIXED_P0_beta do.  A row that fails for any reason keeps its inputs
+    and an error marker; a failed solve is not shared, so the next row with
+    its key tries again.
     """
     report = ErrorReport()
     make_mesh = functools.cache(make_mesh)
+
+    @functools.cache
+    def material(ec, angle):
+        return mat.derive_parameters(ec), mat.FibreFrame.from_angle(angle)
+
     solved = {}
     for variant in cfg.variants:
         for p in cfg.p_list:
@@ -151,12 +164,12 @@ def _sweep(cfg, make_mesh, solve_row):
                         ec = mat.EngineeringConstants(cfg.E_t, p, cfg.q, cfg.nu_t, cfg.nu_l)
                         if not mat.check_stability(ec).admissible:
                             raise ValueError("inadmissible material")
-                        mp = mat.derive_parameters(ec)
-                        frame = mat.FibreFrame.from_angle(angle)
-                        mesh = make_mesh(n, variant.order)
+                        mp, frame = material(ec, angle)
+                        case = make_mesh(n, variant.order)
                         key = (n, variant.order, variant.reduced, p, angle)
                         if key not in solved:
-                            solved[key] = solve_row(mesh, mp, frame, variant)
+                            solved[key] = solve_row(case, mp, frame, variant)
+                        mesh = case[0]
                         row = replace(
                             row, h=mesh.h, dofs=2 * mesh.n_nodes, **solved[key]
                         )
@@ -170,18 +183,23 @@ def _sweep(cfg, make_mesh, solve_row):
 def run_cook(cfg):
     """Tip-displacement sweep on the tapered panel: clamped left edge,
     uniform vertical shear on the right edge with resultant cfg.f."""
+    edge_len = COOK_CORNERS[2, 1] - COOK_CORNERS[1, 1]
 
-    def solve_row(mesh, mp, frame, variant):
-        edge_len = COOK_CORNERS[2, 1] - COOK_CORNERS[1, 1]
-        system = assemble(
-            mesh, mp, frame, variant,
-            tractions={"right": (0.0, cfg.f / edge_len)},
-        )
+    def make_mesh(n, order):
+        mesh = cook_mesh(n, order)
+        load = load_vector(mesh, tractions={"right": (0.0, cfg.f / edge_len)})
+        load.flags.writeable = False  # every system on the mesh shares it
+        return mesh, load, mesh.boundary_nodes["tip"][0]
+
+    def solve_row(case, mp, frame, variant):
+        mesh, load, tip = case
+        system = assemble(mesh, mp, frame, variant)
+        system.load = load
         apply_dirichlet(system, {"left": (0.0, 0.0)})
-        du, dv = solve(system).at_node(mesh.boundary_nodes["tip"][0])
+        du, dv = solve(system).at_node(tip)
         return {"tip_u": float(du), "tip_v": float(dv)}
 
-    return _sweep(cfg, cook_mesh, solve_row)
+    return _sweep(cfg, make_mesh, solve_row)
 
 
 def beam_exact(cfg, mp, frame):
@@ -215,39 +233,47 @@ def beam_edge_profile(cfg, mp, frame):
     return lambda y: u_func(0.0, y)[0]
 
 
+def _nearest_node(mesh, point):
+    """Index of the mesh node nearest to point in the 1-norm."""
+    return int(np.argmin(np.abs(mesh.nodes - point).sum(axis=1)))
+
+
 def run_beam(cfg):
     """Beam bending study with the analytical solution as error reference.
 
     The horizontal component is prescribed along the whole edge x = 0, the
     vertical component is pinned at the bottom-left corner, and the edge
-    x = L carries the linearly varying horizontal traction.
+    x = L carries the linearly varying horizontal traction.  The exact
+    solution is built once per material.
     """
+    c = 2.0 * cfg.f / cfg.H
+    exact = functools.cache(lambda mp, frame: beam_exact(cfg, mp, frame))
 
-    def bottom_node(mesh, x):
-        return int(np.argmin(np.abs(mesh.nodes - (x, -cfg.H / 2)).sum(axis=1)))
+    def make_mesh(nx, order):
+        mesh = rectangle_mesh(cfg.L, cfg.H, nx, max(1, nx // 5), order)
+        load = load_vector(mesh, tractions={"right": lambda x, y: (-c * y, 0.0)})
+        load.flags.writeable = False  # every system on the mesh shares it
+        corner = _nearest_node(mesh, (0.0, -cfg.H / 2))
+        tip = _nearest_node(mesh, (cfg.L, -cfg.H / 2))
+        return mesh, load, corner, tip
 
-    def solve_row(mesh, mp, frame, variant):
-        u_func, grad_func = beam_exact(cfg, mp, frame)
-        c = 2.0 * cfg.f / cfg.H
-        system = assemble(
-            mesh, mp, frame, variant,
-            tractions={"right": lambda x, y: (-c * y, 0.0)},
-        )
+    def solve_row(case, mp, frame, variant):
+        mesh, load, corner, tip = case
+        u_func, grad_func = exact(mp, frame)
+        system = assemble(mesh, mp, frame, variant)
+        system.load = load
         apply_dirichlet(
             system,
             {"left": lambda x, y: (u_func(x, y)[0], None)},
-            node_constraints=[(bottom_node(mesh, 0.0), 1, 0.0)],
+            node_constraints=[(corner, 1, 0.0)],
         )
         sol = solve(system)
         h1, l2 = h1_error(sol, u_func, grad_func, relative=True)
-        du, dv = sol.at_node(bottom_node(mesh, cfg.L))
+        du, dv = sol.at_node(tip)
         return {
             "tip_u": float(du), "tip_v": float(dv),
             "h1_error": float(h1), "l2_error": float(l2),
         }
-
-    def make_mesh(nx, order):
-        return rectangle_mesh(cfg.L, cfg.H, nx, max(1, nx // 5), order)
 
     report = _sweep(cfg, make_mesh, solve_row)
     report.attach_rates()

@@ -24,9 +24,12 @@ pattern, so every K and K_FF of the mesh shares this bookkeeping.
 
 The floating-point geometry is likewise kept per mesh (QuadMesh.cached): the
 material-free element moments that every stiffness on the mesh contracts
-(`elements.moments`), and the error rule's shape values, gradients, weights
-and points.  Like the pattern, each is built on first use, from the nodes as
-they are at that time.
+(`elements.moments`), and the error rule's shape values, weights, points and
+gradients, the last laid out for one product per element
+(`assembly._error_rule`).  Like the pattern, each is built on first use,
+from the nodes as they are at that time.  What a sweep's driver fixes per
+mesh, its load vector and the nodes it reads, the driver keeps next to the
+mesh (`benchmarks._sweep`).
 """
 
 import functools
@@ -56,8 +59,9 @@ class StiffnessPattern(NamedTuple):
 
     def slots(self):
         """(2, 2, E, n, n) index into the data of every element-matrix entry:
-        [a, b, e, l, m] holds that of entry (2l + a, 2m + b) of element e."""
-        slot = np.empty((2, 2) + self.block.shape, np.int32)
+        [a, b, e, l, m] holds that of entry (2l + a, 2m + b) of element e.
+        It is built as np.intp, the index type np.bincount would convert it to."""
+        slot = np.empty((2, 2) + self.block.shape, np.intp)
         slot[0, 0] = self.block
         slot[1, 0] = self.block + self.step[:, :, None]
         slot[:, 1] = slot[:, 0] + 1

@@ -1,4 +1,7 @@
 import math
+from dataclasses import replace
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -28,10 +31,12 @@ from tifem import (
     run_cook,
     solve,
 )
-from tifem import EngineeringConstants
+from tifem import EngineeringConstants, FieldSolution, gauss_rule, shape_functions
 import tifem.assembly
+import tifem.benchmarks
+import tifem.material
 import tifem.mesh
-from tifem.assembly import _norm_inf, _reduced
+from tifem.assembly import _at_points, _norm_inf, _reduced
 from conftest import distorted_cook_mesh, sample_admissible
 
 V = FormulationVariant
@@ -394,15 +399,16 @@ class TestGather:
     def test_sweep_builds_each_pattern_once(self, monkeypatch):
         calls = []
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
+        def counted(module, name, label):
+            fn = getattr(module, name)
 
-        monkeypatch.setattr(tifem.mesh, "_stiffness_pattern",
-                            counted("pattern", tifem.mesh._stiffness_pattern))
-        monkeypatch.setattr(tifem.mesh, "_free_layout", counted("layout", tifem.mesh._free_layout))
+            def wrapper(*args):
+                calls.append(label)
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(tifem.mesh, "_stiffness_pattern", "pattern")
+        counted(tifem.mesh, "_free_layout", "layout")
         moments = tifem.assembly.moments
 
         def counted_moments(coords, order, reduced=False):
@@ -410,22 +416,38 @@ class TestGather:
             return moments(coords, order, reduced)
 
         monkeypatch.setattr(tifem.assembly, "moments", counted_moments)
-        monkeypatch.setattr(tifem.assembly, "_error_rule",
-                            counted("error rule", tifem.assembly._error_rule))
+        counted(tifem.assembly, "_error_rule", "error rule")
+        # each call integrates one load field, calling its function once
+        counted(tifem.assembly, "_add_load", "load")
+        counted(tifem.benchmarks, "_nearest_node", "monitored node")
+        counted(tifem.benchmarks, "beam_exact", "exact solution")
+        counted(tifem.material, "derive_parameters", "material")
         report = run_cook(CookConfig(p_list=(2.0, 10.0, 100.0), refine=(2, 4),
                                      variants=(V.Q1_CG, V.Q2_CG, V.Q1_CG_UI_lambda)))
         assert report.all_ok and len(report.rows) == 18
-        # one pattern, K_FF layout and set of moments per mesh (2 refinements x
-        # 2 orders), and reduced moments per Q1 mesh
-        assert sorted(calls) == (["layout"] * 4 + ["moments"] * 4 + ["pattern"] * 4
-                                 + ["reduced moments"] * 2)
+        # one pattern, K_FF layout, set of moments and load per mesh (2
+        # refinements x 2 orders), reduced moments per Q1 mesh, and one
+        # material per p
+        assert sorted(calls) == (["layout"] * 4 + ["load"] * 4 + ["material"] * 3
+                                 + ["moments"] * 4 + ["pattern"] * 4 + ["reduced moments"] * 2)
         calls.clear()
-        report = run_beam(BeamConfig(p_list=(3.0, 1e4), refine=(5, 10),
-                                     variants=(V.Q1_CG, V.Q2_CG, V.Q1_CG_UI_beta)))
-        assert report.all_ok and len(report.rows) == 12
-        # the error rule's geometry too is built once per mesh
-        assert sorted(calls) == (["error rule"] * 4 + ["layout"] * 4 + ["moments"] * 4
-                                 + ["pattern"] * 4 + ["reduced moments"] * 2)
+        solved = []
+        solve = tifem.benchmarks.solve
+        monkeypatch.setattr(tifem.benchmarks, "solve",
+                            lambda system: solved.append(system) or solve(system))
+        report = run_beam(BeamConfig())
+        assert report.all_ok and len(report.rows) == 72
+        # the systems on a mesh share its load, which none of them can write
+        assert len(solved) == 60 and not any(s.load.flags.writeable for s in solved)
+        assert len({id(s.load) for s in solved}) == len({id(s.mesh) for s in solved}) == 8
+        # 60 solves on 8 meshes (4 refinements x 2 orders) for 3 values of p:
+        # the traction is integrated and the two monitored nodes found once
+        # per mesh, the error rule's geometry built once per mesh, and the
+        # material and its exact solution once per p
+        assert sorted(calls) == (
+            ["error rule"] * 8 + ["exact solution"] * 3 + ["layout"] * 8 + ["load"] * 8
+            + ["material"] * 3 + ["moments"] * 8 + ["monitored node"] * 16 + ["pattern"] * 8
+            + ["reduced moments"] * 4)
 
 
 class TestIndefiniteSystem:
@@ -484,8 +506,69 @@ class TestIndefiniteSystem:
 
 
 class TestContracts:
-    """The patch test, theta = theta + pi and the scaling in E_t, for all six
-    variants on distorted panels with random admissible materials and fibres."""
+    """The patch test, theta = theta + pi, the scaling in E_t, and rotation
+    and mirror covariance, for all six variants on distorted panels with
+    random admissible materials and fibres."""
+
+    # Local node k of a mirrored element is the node at the reference point
+    # of k mirrored in xi, which keeps det J positive; its local edge e is
+    # the old edge _MIRROR_EDGE[e].
+    _MIRROR_NODE = [1, 0, 3, 2, 4, 7, 6, 5, 8]
+    _MIRROR_EDGE = [0, 3, 2, 1]
+
+    @staticmethod
+    def clamped_panel(mesh, mp, frame, variant, traction):
+        """Displacements of the panel clamped on the left under a constant
+        traction on the right; a system that solve refuses as indefinite is
+        solved densely."""
+        system = assemble(mesh, mp, frame, variant, tractions={"right": tuple(traction)})
+        apply_dirichlet(system, {"left": (0.0, 0.0)})
+        try:
+            return solve(system).displacements.reshape(-1, 2)
+        except IndefiniteSystem:
+            free, u, K_ff, rhs = _reduced(system)
+            u[free] = np.linalg.solve(K_ff.toarray(), rhs)
+            return u.reshape(-1, 2)
+
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rotation_covariance(self, seed):
+        # rotating the nodes, the fibre and the load by phi rotates u
+        rng = np.random.default_rng(seed)
+        mp = derive_parameters(sample_admissible(rng))
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        traction = rng.uniform(-1.0, 1.0, size=2)
+        for variant in V:
+            mesh = distorted_cook_mesh(3, variant.order, rng)
+            rotated = replace(mesh, nodes=mesh.nodes @ R.T)
+            u = self.clamped_panel(mesh, mp, FibreFrame.from_angle(theta), variant, traction)
+            u_rot = self.clamped_panel(rotated, mp, FibreFrame.from_angle(theta + phi), variant,
+                                       R @ traction)
+            assert np.abs(u_rot - u @ R.T).max() <= 1e-10 * np.abs(u).max()
+
+    @settings(max_examples=10, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mirror_covariance(self, seed):
+        # x -> -x with the fibre and the load reflected reflects u; each
+        # element's nodes are renumbered so that it stays counterclockwise
+        rng = np.random.default_rng(seed)
+        mp = derive_parameters(sample_admissible(rng))
+        theta = rng.uniform(0.0, math.pi)
+        traction = rng.uniform(-1.0, 1.0, size=2)
+        M = np.array([-1.0, 1.0])
+        for variant in V:
+            mesh = distorted_cook_mesh(3, variant.order, rng)
+            mirrored = replace(
+                mesh, nodes=mesh.nodes * M,
+                elements=mesh.elements[:, self._MIRROR_NODE[: mesh.elements.shape[1]]],
+                boundary_edges={tag: [(e, self._MIRROR_EDGE[k]) for e, k in pairs]
+                                for tag, pairs in mesh.boundary_edges.items()},
+            )
+            u = self.clamped_panel(mesh, mp, FibreFrame.from_angle(theta), variant, traction)
+            u_mir = self.clamped_panel(mirrored, mp, FibreFrame.from_angle(math.pi - theta),
+                                       variant, M * traction)
+            assert np.abs(u_mir - u * M).max() <= 1e-10 * np.abs(u).max()
 
     @settings(max_examples=10, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -585,6 +668,41 @@ class TestH1Error:
         assert h1 < 1e-12
 
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_the_written_out_integral(self, order, rng):
+        # a random field on a distorted panel against the sums over elements
+        # and points written out from the shape functions and the Jacobian
+        mesh = distorted_cook_mesh(3, order, rng)
+        sol = FieldSolution(mesh, rng.standard_normal(2 * mesh.n_nodes))
+
+        def exact_u(x, y):
+            return np.sin(x / 20.0) * y / 40.0, np.cos(y / 30.0) + x * y / 1000.0
+
+        def exact_grad(x, y):
+            return ((np.cos(x / 20.0) * y / 800.0, np.sin(x / 20.0) / 40.0),
+                    (y / 1000.0, -np.sin(y / 30.0) / 30.0 + x / 1000.0))
+
+        rule = gauss_rule(order + 2)
+        N, dN_ref = shape_functions(order, rule.points)        # (q, n), (q, n, 2)
+        X = mesh.nodes[mesh.elements]                           # (E, n, 2)
+        U = sol.displacements.reshape(-1, 2)[mesh.elements]     # (E, n, 2)
+        J = np.einsum("eni,qnj->eqij", X, dN_ref)
+        w = rule.weights * np.linalg.det(J)                     # (E, q)
+        dN = np.einsum("qnk,eqkj->eqnj", dN_ref, np.linalg.inv(J))
+        x, y = np.einsum("qn,eni->ieq", N, X)
+        ue = np.stack(exact_u(x, y), axis=-1)                      # (E, q, 2)
+        Ge = np.array(exact_grad(x, y)).transpose(2, 3, 0, 1)       # (E, q, 2, 2)
+        du = np.einsum("qn,eni->eqi", N, U) - ue
+        dG = np.einsum("eni,eqnj->eqij", U, dN) - Ge
+        l2 = np.sqrt(np.einsum("eq,eqi,eqi->", w, du, du))
+        h1 = np.sqrt(l2**2 + np.einsum("eq,eqij,eqij->", w, dG, dG))
+        assert h1_error(sol, exact_u, exact_grad) == pytest.approx((h1, l2), rel=1e-12)
+        exact_l2 = np.sqrt(np.einsum("eq,eqi,eqi->", w, ue, ue))
+        exact_h1 = np.sqrt(exact_l2**2 + np.einsum("eq,eqij,eqij->", w, Ge, Ge))
+        assert h1_error(sol, exact_u, exact_grad, relative=True) == pytest.approx(
+            (h1 / exact_h1, l2 / exact_l2), rel=1e-12)
+
+
 class TestFieldFunctions:
     """Every field is called once on coordinate arrays and shape-checked."""
 
@@ -682,11 +800,68 @@ class TestFieldFunctions:
         assert len(systems[0].constrained) == 2 * 5 + 5 - 1
 
 
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_components_are_broadcast_and_stacked_last(self, data):
+        # components nested as tuples or lists, each a scalar, a float or int
+        # array of the points' shape, or an array that broadcasts to it, or
+        # all of them stacked into one array; the oracle broadcasts each
+        # component and stacks them on a last axis
+        points = data.draw(st.sampled_from([(5,), (3, 4), (2, 2)]), label="points")
+        shape = data.draw(st.sampled_from([(), (2,), (2, 2)]), label="shape")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.standard_normal(points)
+
+        def leaf():
+            kind = data.draw(st.sampled_from(["scalar", "int", "array", "int array", "broadcast"]))
+            if kind == "scalar":
+                return float(rng.standard_normal())
+            if kind == "int":
+                return int(rng.integers(-5, 5))
+            if kind == "array":
+                return rng.standard_normal(points)
+            if kind == "int array":
+                return rng.integers(-5, 5, size=points)
+            return rng.standard_normal(tuple(data.draw(st.sampled_from([1, n])) for n in points))
+
+        def nest(depth):
+            if depth == len(shape):
+                return leaf()
+            kind = data.draw(st.sampled_from([tuple, list]))
+            return kind(nest(depth + 1) for _ in range(shape[depth]))
+
+        def oracle(val):
+            comps = [np.broadcast_to(reduce(getitem, i, val), points) for i in np.ndindex(shape)]
+            return np.stack(comps, axis=-1, dtype=float).reshape(points + shape)
+
+        val = nest(0)
+        if data.draw(st.booleans(), label="stacked"):
+            val = np.moveaxis(oracle(val), range(len(points)),
+                              range(len(shape), len(shape) + len(points)))
+        got = _at_points(val, x, x, shape)
+        want = oracle(val)
+        # the same values, C-ordered so that sums over them have one order
+        assert got.shape == points + shape and got.dtype == float and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("val", [
+        ((1.0, np.ones(5)), (np.ones(5),)),       # nested to different depths
+        (np.ones(5), np.ones(4)),                 # a component not of the points' shape
+        (np.ones(5), [1.0, 2.0, 3.0, 4.0, 5.0]),  # a list is a component axis, not the points
+    ], ids=["ragged", "not-broadcastable", "list-of-points"])
+    def test_ragged_components_are_rejected(self, val):
+        with pytest.raises(ValueError):
+            _at_points(val, np.zeros(5), np.zeros(5), (2,))
+
+
 class TestNodeConstraints:
     """Pointwise pins name an existing node and the component 0 or 1."""
 
     @pytest.mark.parametrize("pin", [(-1, 0, 0.5), (0, 2, 0.5), (0.5, 0, 0.0), (100, 0, 0.0),
-                                     (9, 0, 0.0), (0, -1, 0.0)])
+                                     (9, 0, 0.0), (0, -1, 0.0),
+                                     # a flag is no index, though True == 1
+                                     (True, 0, 1.0), (1, True, 5.0), (False, 1, 0.0),
+                                     (np.bool_(True), 0, 1.0), (1, np.bool_(False), 5.0)])
     def test_invalid_pin_is_rejected(self, pin):
         mesh = rectangle_mesh(2.0, 2.0, 2, 2, order=1)
         system = apply_dirichlet(assemble(mesh, MP_ISO, FRAME0, V.Q1_CG), {"left": (0.0, 0.0)})
