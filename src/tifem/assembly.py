@@ -1,23 +1,30 @@
 """Global assembly, boundary conditions, linear solve, and error norms.
 
 Degrees of freedom are interleaved: node i owns dofs (2i, 2i+1) for the
-x and y displacement components.  K is gathered onto the mesh's cached CSR
-pattern (`QuadMesh.pattern`): one bincount of the element matrices over each
-entry's slot, with nothing sorted per assembly.  Dirichlet constraints are
-eliminated at solve time: the free dofs F solve K_FF u_F = (f - K u)_F, where
-u holds the prescribed values, zero on F.  The assembled matrix always covers
-all dofs.  F lists the free dofs node by node in the mesh's nested-dissection
-order (`QuadMesh.dissection`), and K_FF is gathered from K's data, already
-permuted, through the mesh's layout for F (`QuadMesh.free_layout`) and
-factorised with no further ordering.  A LinearSystem holds K's values on its
-mesh's pattern, so every system takes this one path.
+x and y displacement components.  Dirichlet constraints are eliminated at
+solve time: the free dofs F solve K_FF u_F = (f - K u)_F, where u holds the
+prescribed values, zero on F.  The assembled matrix always covers all dofs.
+F lists the free dofs node by node in the mesh's nested-dissection order
+(`QuadMesh.dissection`), and K_FF is factorised with no further ordering.
+
+This module alone builds, slices and factorises sparse matrices, and does
+their bookkeeping once per mesh, not per assembly (George and Liu, Computer
+Solution of Large Sparse Positive Definite Systems, 1981), in the mesh's
+cache (`QuadMesh.cached`).  `_pattern` is the CSR pattern of K and where
+every element-matrix entry goes in its data, so K is one bincount of the
+element matrices over each entry's slot, with nothing sorted per assembly.
+`_free_layout` is, for each set F solved for, the CSC layout of K_FF as a
+gather of K's data, already permuted.  A LinearSystem holds K's values on
+its mesh's pattern, so every K and K_FF of a mesh takes this one path.
 
 Field functions (body force, tractions, Dirichlet data, exact solutions) are
 called once each as func(x, y) on coordinate arrays of quadrature points
 (E, q) or boundary nodes (n,).  They return nested components, (u, v) or
 ((ux, uy), (vx, vy)), as tuples, lists or leading axes of an array ending in
-x's axes; each is a scalar or broadcasts to x.shape.  A constant stands for
-its value.  Components not nested to the expected shape raise ValueError.
+x's axes; each is a scalar or an array with x's number of axes, each of
+length 1 or x's (fewer axes are read as component axes, not broadcast).  A
+constant stands for its value.  Components not nested to the expected shape
+raise ValueError.
 The load is integrated by `load_vector`, which `assemble` calls; a sweep
 that solves many operators on one mesh under one load (`benchmarks._sweep`)
 integrates it once per mesh, so its field function is called once per mesh,
@@ -27,6 +34,7 @@ not once per operator.
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import getitem
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,9 +59,69 @@ class IndefiniteSystem(SingularSystem):
     negative pivot, or had to pivot a row off the diagonal."""
 
 
+class StiffnessPattern(NamedTuple):
+    """CSR pattern of K over the interleaved dofs and where each element
+    entry goes: entry (2l + a, 2m + b) of element e sits at
+    block[e, l, m] + a step[e, l] + b in the data."""
+    indptr: np.ndarray           # (2 n_nodes + 1,) int32
+    indices: np.ndarray          # (nnz,) int32, sorted within each row
+    block: np.ndarray            # (E, n, n) int32 data index of each node pair's entry (2i, 2j)
+    step: np.ndarray             # (E, n) int32 data distance from dof row 2i to row 2i + 1
+
+    def slots(self):
+        """(2, 2, E, n, n) index into the data of every element-matrix entry:
+        [a, b, e, l, m] holds that of entry (2l + a, 2m + b) of element e.
+        It is built as np.intp, the index type np.bincount would convert it to."""
+        slot = np.empty((2, 2) + self.block.shape, np.intp)
+        slot[0, 0] = self.block
+        slot[1, 0] = self.block + self.step[:, :, None]
+        slot[:, 1] = slot[:, 0] + 1
+        return slot
+
+
+def _stiffness_pattern(elements, n_nodes):
+    """StiffnessPattern of a connectivity.
+
+    The E n^2 node pairs go through scipy's COO -> CSR once; every node pair
+    (i, j) then owns the 2 x 2 dof block (2i + a, 2j + b), so the dof pattern
+    is the node pattern with blocks for entries, and the rest is arithmetic:
+    dof row 2i + a starts 4 ptr[i] + 2 a deg[i] into the data, deg[i] the
+    node count of row i, and a node pair at s - ptr[i] into its row sits at
+    twice that into each of its dof rows.  Only the node-pair index is kept
+    per element entry; `slots` expands it to the dofs for each assembly.
+    """
+    E, n = elements.shape
+    rows = np.repeat(elements, n, axis=1).ravel()
+    cols = np.tile(elements, n).ravel()
+    nodal = sp.csr_matrix((np.ones(rows.size, np.int8), (rows, cols)), shape=(n_nodes, n_nodes))
+    nodal.data = np.arange(nodal.nnz, dtype=np.int32)
+    s = np.asarray(nodal[rows, cols], dtype=np.int32).reshape(E, n, n)
+    ptr = nodal.indptr.astype(np.int32)
+    dofs = sp.bsr_matrix((np.ones((nodal.nnz, 2, 2), np.int8), nodal.indices, ptr),
+                         shape=(2 * n_nodes, 2 * n_nodes)).tocsr()
+    return StiffnessPattern(dofs.indptr, dofs.indices, 2 * (s + ptr[elements][:, :, None]),
+                            (2 * np.diff(ptr))[elements])
+
+
+def _free_layout(indptr, indices, free):
+    """K_FF = K[free][:, free] in CSC for every K with this CSR pattern, as
+    (take, indices, indptr) with K_FF's data K.data[take].  It is scipy's own
+    slice of a copy of the pattern valued by data position, so K_FF has
+    exactly the layout that slicing K would give it."""
+    n = indptr.size - 1
+    P = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr), shape=(n, n))
+    P = P[free][:, free].tocsc()
+    return P.data, P.indices, P.indptr
+
+
+def _pattern(mesh):
+    """The mesh's StiffnessPattern, built once per mesh and read-only."""
+    return mesh.cached("pattern", lambda: _stiffness_pattern(mesh.elements, mesh.n_nodes))
+
+
 @dataclass
 class LinearSystem:
-    data: np.ndarray             # K's values on mesh.pattern
+    data: np.ndarray             # K's values on _pattern(mesh)
     load: np.ndarray
     mesh: object
     variant: FormulationVariant
@@ -67,7 +135,7 @@ class LinearSystem:
     @property
     def stiffness(self):
         """K in CSR: a view of data on the mesh's pattern, nothing copied."""
-        pattern = self.mesh.pattern
+        pattern = _pattern(self.mesh)
         return sp.csr_matrix((self.data, pattern.indices, pattern.indptr),
                              shape=(self.n_dofs, self.n_dofs))
 
@@ -155,7 +223,7 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
         reduced = mesh.cached("reduced moments",
                               lambda: moments(mesh.nodes[mesh.elements], 1, reduced=True))
     Ke = stiffness_blocks(mp, frame, variant, full, reduced)
-    pattern = mesh.pattern
+    pattern = _pattern(mesh)
     data = np.bincount(pattern.slots().ravel(), Ke.ravel(), pattern.indices.size)
     return LinearSystem(data=data, load=load_vector(mesh, body_force, tractions), mesh=mesh,
                         variant=variant, frame=frame)
@@ -208,7 +276,9 @@ def _reduced(system):
     free = dofs[mask[dofs]]
     if free.size == 0:
         return free, u, None, None
-    take, indices, indptr = mesh.free_layout(free)
+    pattern = _pattern(mesh)
+    take, indices, indptr = mesh.cached(
+        ("free layout", free.tobytes()), lambda: _free_layout(pattern.indptr, pattern.indices, free))
     K_ff = sp.csc_matrix((system.data[take], indices, indptr), shape=(free.size, free.size))
     # with every prescribed value 0, K u = 0 and rhs = f_F
     f = system.load - system.stiffness @ u if values.any() else system.load

@@ -13,31 +13,21 @@ middle such line, its two halves are ordered first and the line last, down
 to blocks with no interior element-edge line.  The linear solve factorises
 in this order.
 
-The sparse bookkeeping of the stiffness is done once per mesh, not per
-assembly (George and Liu, Computer Solution of Large Sparse Positive Definite
-Systems, 1981): QuadMesh.pattern holds the CSR pattern of K over the
-interleaved dofs (node i owns 2i and 2i + 1) and where every element-matrix
-entry goes in its data, and QuadMesh.free_layout the CSC layout of K_FF for
-the last set of free dofs solved for.  Both are built on first use from the
-connectivity as it then is.  A LinearSystem holds K's values on its mesh's
-pattern, so every K and K_FF of the mesh shares this bookkeeping.
-
-The floating-point geometry is likewise kept per mesh (QuadMesh.cached): the
+Whatever the solves on a mesh share is kept in the mesh's one cache
+(QuadMesh.cached) and built there on first use, from the mesh as it is at
+that time: the sparse layout of its stiffness and of K_FF for each set of
+free dofs solved for (`assembly._pattern`, `assembly._free_layout`), the
 material-free element moments that every stiffness on the mesh contracts
 (`elements.moments`), and the error rule's shape values, weights, points and
 gradients, the last laid out for one product per element
-(`assembly._error_rule`).  Like the pattern, each is built on first use,
-from the nodes as they are at that time.  What a sweep's driver fixes per
-mesh, its load vector and the nodes it reads, the driver keeps next to the
-mesh (`benchmarks._sweep`).
+(`assembly._error_rule`).  What a sweep's driver fixes per mesh, its load
+vector and the nodes it reads, the driver keeps next to the mesh
+(`benchmarks._sweep`).
 """
 
-import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 # 1D node indices (i, j) of each local node in the basis at (-1, 1, 0); the
 # shape functions and the connectivity both derive from this one table.
@@ -46,26 +36,6 @@ LOCAL_NODES = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (1, 2), (2, 1), 
 _EDGE_LOCAL = np.array([(0, 1, 4), (1, 2, 5), (2, 3, 6), (3, 0, 7)])
 
 COOK_CORNERS = np.array([(0.0, 0.0), (48.0, 44.0), (48.0, 60.0), (0.0, 44.0)])
-
-
-class StiffnessPattern(NamedTuple):
-    """CSR pattern of K over the interleaved dofs and where each element
-    entry goes: entry (2l + a, 2m + b) of element e sits at
-    block[e, l, m] + a step[e, l] + b in the data."""
-    indptr: np.ndarray           # (2 n_nodes + 1,) int32
-    indices: np.ndarray          # (nnz,) int32, sorted within each row
-    block: np.ndarray            # (E, n, n) int32 data index of each node pair's entry (2i, 2j)
-    step: np.ndarray             # (E, n) int32 data distance from dof row 2i to row 2i + 1
-
-    def slots(self):
-        """(2, 2, E, n, n) index into the data of every element-matrix entry:
-        [a, b, e, l, m] holds that of entry (2l + a, 2m + b) of element e.
-        It is built as np.intp, the index type np.bincount would convert it to."""
-        slot = np.empty((2, 2) + self.block.shape, np.intp)
-        slot[0, 0] = self.block
-        slot[1, 0] = self.block + self.step[:, :, None]
-        slot[:, 1] = slot[:, 0] + 1
-        return slot
 
 
 @dataclass
@@ -77,7 +47,6 @@ class QuadMesh:
     h: float                     # max element diameter
     order: int                   # 1 or 2
     dissection: np.ndarray       # (n_nodes,) node elimination order
-    _layout: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -88,27 +57,12 @@ class QuadMesh:
     def n_elements(self):
         return self.elements.shape[0]
 
-    @functools.cached_property
-    def pattern(self):
-        """The StiffnessPattern of this mesh's dofs; its arrays are read-only,
-        as every matrix assembled on it shares them."""
-        return _stiffness_pattern(self.elements, self.n_nodes)
-
-    def free_layout(self, free):
-        """_free_layout of self.pattern for the free dofs `free`.  The last
-        free set's layout is kept, so a sweep under fixed constraints slices
-        the pattern once."""
-        key = free.tobytes()
-        if key not in self._layout:
-            self._layout.clear()
-            self._layout[key] = _free_layout(self.pattern.indptr, self.pattern.indices, free)
-        return self._layout[key]
-
     def cached(self, key, build):
         """build(), an array or a tuple of arrays, on the first call with this
-        key, kept read-only for every later call: the element moments and the
-        error rule's geometry are built once per mesh, like the pattern, from
-        the nodes as they are at that time."""
+        key, kept read-only for every later call: the mesh's one cache, which
+        assembly and error integration fill (see the module docstring).
+        Nothing is evicted, so a mesh keeps one K_FF layout per distinct set
+        of free dofs it is solved with; every driver solves a mesh under one."""
         if key not in self._cache:
             value = build()
             for array in value if isinstance(value, tuple) else (value,):
@@ -164,47 +118,6 @@ def _structured_mesh(nx, ny, order, mapping):
     for tag, pairs in boundary_edges.items():
         mesh.boundary_nodes[tag] = np.unique(mesh.edge_nodes(*np.transpose(pairs))).tolist()
     return mesh
-
-
-def _stiffness_pattern(elements, n_nodes):
-    """StiffnessPattern of a connectivity.
-
-    The E n^2 node pairs go through scipy's COO -> CSR once; every node pair
-    (i, j) then owns the 2 x 2 dof block (2i + a, 2j + b), so the dof pattern
-    is the node pattern with blocks for entries, and the rest is arithmetic:
-    dof row 2i + a starts 4 ptr[i] + 2 a deg[i] into the data, deg[i] the
-    node count of row i, and a node pair at s - ptr[i] into its row sits at
-    twice that into each of its dof rows.  Only the node-pair index is kept
-    per element entry; `slots` expands it to the dofs for each assembly.
-    """
-    E, n = elements.shape
-    rows = np.repeat(elements, n, axis=1).ravel()
-    cols = np.tile(elements, n).ravel()
-    nodal = sp.csr_matrix((np.ones(rows.size, np.int8), (rows, cols)), shape=(n_nodes, n_nodes))
-    nodal.data = np.arange(nodal.nnz, dtype=np.int32)
-    s = np.asarray(nodal[rows, cols], dtype=np.int32).reshape(E, n, n)
-    ptr = nodal.indptr.astype(np.int32)
-    dofs = sp.bsr_matrix((np.ones((nodal.nnz, 2, 2), np.int8), nodal.indices, ptr),
-                         shape=(2 * n_nodes, 2 * n_nodes)).tocsr()
-    pattern = StiffnessPattern(dofs.indptr, dofs.indices, 2 * (s + ptr[elements][:, :, None]),
-                               (2 * np.diff(ptr))[elements])
-    for array in pattern:
-        array.flags.writeable = False
-    return pattern
-
-
-def _free_layout(indptr, indices, free):
-    """K_FF = K[free][:, free] in CSC for every K with this CSR pattern, as
-    (take, indices, indptr) with K_FF's data K.data[take].  It is scipy's own
-    slice of a copy of the pattern valued by data position, so K_FF has
-    exactly the layout that slicing K would give it."""
-    n = indptr.size - 1
-    P = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr), shape=(n, n))
-    P = P[free][:, free].tocsc()
-    layout = (P.data, P.indices, P.indptr)
-    for array in layout:
-        array.flags.writeable = False
-    return layout
 
 
 def _dissection(mx, my, order):

@@ -1,7 +1,9 @@
+import ast
 import math
 from dataclasses import replace
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +37,7 @@ from tifem import EngineeringConstants, FieldSolution, gauss_rule, shape_functio
 import tifem.assembly
 import tifem.benchmarks
 import tifem.material
-import tifem.mesh
-from tifem.assembly import _at_points, _norm_inf, _reduced
+from tifem.assembly import _at_points, _norm_inf, _pattern, _reduced
 from conftest import distorted_cook_mesh, sample_admissible
 
 V = FormulationVariant
@@ -52,8 +53,9 @@ def system_of(K, load):
     k = len(K)
     full = np.zeros((8, 8))
     full[:k, :k] = K
-    rows = np.repeat(np.arange(8), np.diff(mesh.pattern.indptr))
-    system = LinearSystem(full[rows, mesh.pattern.indices], np.concatenate([load, np.zeros(8 - k)]),
+    pattern = _pattern(mesh)
+    rows = np.repeat(np.arange(8), np.diff(pattern.indptr))
+    system = LinearSystem(full[rows, pattern.indices], np.concatenate([load, np.zeros(8 - k)]),
                           mesh, V.Q1_CG, FRAME0)
     system.constrained.update(dict.fromkeys(range(k, 8), 0.0))
     return system
@@ -351,7 +353,7 @@ class TestGather:
         mesh = rectangle_mesh(2.0, 1.0, 2, 1, order=1)
         system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG)
         K = system.stiffness
-        assert np.shares_memory(K.indices, mesh.pattern.indices)
+        assert np.shares_memory(K.indices, _pattern(mesh).indices)
         assert np.shares_memory(K.data, system.data)
         with pytest.raises(ValueError, match="read-only"):
             K.indices[0] = 1
@@ -385,6 +387,30 @@ class TestGather:
             assert np.array_equal(rhs, system.load[free] - K[free] @ u)
         assert sorted(np.flatnonzero(u)) == sorted(d for d, g in system.constrained.items() if g)
 
+    def test_each_free_set_keeps_its_layout(self, monkeypatch):
+        # a mesh solved under constraints A, then B, then A again builds the
+        # K_FF layouts of A and B once each, and each K_FF is K's slice
+        built = []
+        free_layout = tifem.assembly._free_layout
+        monkeypatch.setattr(tifem.assembly, "_free_layout",
+                            lambda *args: built.append(args) or free_layout(*args))
+        mesh = cook_mesh(4, 1)
+        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, tractions={"right": (0.0, 1.0)})
+        K = system.stiffness
+        A = {"left": (0.0, 0.0)}
+        B = {"left": (0.0, 0.0), "bottom": (None, 0.0)}
+        sizes = []
+        for bcs in (A, B, A):
+            system.constrained.clear()
+            free, _, K_ff, _ = _reduced(apply_dirichlet(system, bcs))
+            oracle = K[free][:, free].tocsc()
+            assert np.array_equal(K_ff.indptr, oracle.indptr)
+            assert np.array_equal(K_ff.indices, oracle.indices)
+            assert np.array_equal(K_ff.data, oracle.data)
+            sizes.append(free.size)
+        assert sizes[0] == sizes[2] > sizes[1]
+        assert len(built) == 2
+
     def test_solve_reads_the_current_data(self):
         # the cached layout holds positions only: K's values are read from
         # system.data on every solve, and scaling K by 2 halves u exactly
@@ -407,8 +433,8 @@ class TestGather:
                 return fn(*args)
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(tifem.mesh, "_stiffness_pattern", "pattern")
-        counted(tifem.mesh, "_free_layout", "layout")
+        counted(tifem.assembly, "_stiffness_pattern", "pattern")
+        counted(tifem.assembly, "_free_layout", "layout")
         moments = tifem.assembly.moments
 
         def counted_moments(coords, order, reduced=False):
@@ -448,6 +474,23 @@ class TestGather:
             ["error rule"] * 8 + ["exact solution"] * 3 + ["layout"] * 8 + ["load"] * 8
             + ["material"] * 3 + ["moments"] * 8 + ["monitored node"] * 16 + ["pattern"] * 8
             + ["reduced moments"] * 4)
+
+
+def test_only_assembly_imports_scipy():
+    # one module builds, slices and factorises sparse matrices; the mesh is
+    # geometry and topology only
+    importers = set()
+    for path in Path(tifem.assembly.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"assembly.py"}
 
 
 class TestIndefiniteSystem:
@@ -804,9 +847,9 @@ class TestFieldFunctions:
     @given(data=st.data())
     def test_components_are_broadcast_and_stacked_last(self, data):
         # components nested as tuples or lists, each a scalar, a float or int
-        # array of the points' shape, or an array that broadcasts to it, or
-        # all of them stacked into one array; the oracle broadcasts each
-        # component and stacks them on a last axis
+        # array of the points' shape, or an array with as many axes, each of
+        # length 1 or the points', or all of them stacked into one array; the
+        # oracle broadcasts each component and stacks them on a last axis
         points = data.draw(st.sampled_from([(5,), (3, 4), (2, 2)]), label="points")
         shape = data.draw(st.sampled_from([(), (2,), (2, 2)]), label="shape")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -844,14 +887,19 @@ class TestFieldFunctions:
         assert got.shape == points + shape and got.dtype == float and got.flags.c_contiguous
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("val", [
-        ((1.0, np.ones(5)), (np.ones(5),)),       # nested to different depths
-        (np.ones(5), np.ones(4)),                 # a component not of the points' shape
-        (np.ones(5), [1.0, 2.0, 3.0, 4.0, 5.0]),  # a list is a component axis, not the points
-    ], ids=["ragged", "not-broadcastable", "list-of-points"])
-    def test_ragged_components_are_rejected(self, val):
+    @pytest.mark.parametrize("val, points, shape", [
+        (((1.0, np.ones(5)), (np.ones(5),)), (5,), (2,)),  # nested to different depths
+        ((np.ones(5), np.ones(4)), (5,), (2,)),            # a component not of the points' shape
+        ((np.ones(5), [1.0, 2.0, 3.0, 4.0, 5.0]), (5,), (2,)),  # a list is a component axis
+        # an array with fewer axes than the points is not broadcast: its
+        # axes are component axes, here one too many or nested too deep
+        (np.ones(4), (3, 4), ()),
+        ((np.ones(4), 0.0), (3, 4), (2,)),
+    ], ids=["ragged", "not-broadcastable", "list-of-points", "fewer-axes", "fewer-axes-nested"])
+    def test_ragged_components_are_rejected(self, val, points, shape):
+        x = np.zeros(points)
         with pytest.raises(ValueError):
-            _at_points(val, np.zeros(5), np.zeros(5), (2,))
+            _at_points(val, x, x, shape)
 
 
 class TestNodeConstraints:
