@@ -17,6 +17,16 @@ element matrices over each entry's slot, with nothing sorted per assembly.
 gather of K's data, already permuted.  A LinearSystem holds K's values on
 its mesh's pattern, so every K and K_FF of a mesh takes this one path.
 
+Both layouts and every mat-vec are numpy, and give the arrays and the bits
+that scipy.sparse gives: a mat-vec is a bincount, which sums each entry in
+storage order as scipy's does.  scipy is used for its SuperLU extension
+alone, loaded from its file (`_load_superlu`) so that no scipy.sparse module
+is imported, which would add about 0.2 s to every command's start.
+`_factorise` calls its `gstrf` with exactly the arguments that
+`scipy.sparse.linalg.splu` passes it.  `gstrf` is private to scipy: a
+release that moves the file or changes the call breaks every solve, which
+the oracle tests in tests/test_sparse.py then show against `splu`.
+
 Field functions (body force, tractions, Dirichlet data, exact solutions) are
 called once each as func(x, y) on coordinate arrays of quadrature points
 (E, q) or boundary nodes (n,).  They return nested components, (u, v) or
@@ -31,14 +41,16 @@ integrates it once per mesh, so its field function is called once per mesh,
 not once per operator.
 """
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy
 
 from .elements import (
     FormulationVariant, _interpolate, _lagrange_1d, gauss_rule_1d, geometry, moments,
@@ -57,6 +69,25 @@ class SingularSystem(ValueError):
 class IndefiniteSystem(SingularSystem):
     """K_FF is not positive definite: its diagonal-pivoted factorisation has a
     negative pivot, or had to pivot a row off the diagonal."""
+
+
+class CSC(NamedTuple):
+    """A square sparse matrix in compressed sparse column form: column j
+    holds rows indices[indptr[j]:indptr[j + 1]] with values data there."""
+    data: np.ndarray
+    indices: np.ndarray          # int32
+    indptr: np.ndarray           # int32
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x):
+        """The product with a vector, each entry summed in storage order:
+        the bits of scipy's CSC mat-vec."""
+        terms = np.repeat(x, np.diff(self.indptr))
+        np.multiply(terms, self.data, out=terms)
+        return np.bincount(self.indices, terms, x.size)
 
 
 class StiffnessPattern(NamedTuple):
@@ -82,36 +113,147 @@ class StiffnessPattern(NamedTuple):
 def _stiffness_pattern(elements, n_nodes):
     """StiffnessPattern of a connectivity.
 
-    The E n^2 node pairs go through scipy's COO -> CSR once; every node pair
-    (i, j) then owns the 2 x 2 dof block (2i + a, 2j + b), so the dof pattern
-    is the node pattern with blocks for entries, and the rest is arithmetic:
-    dof row 2i + a starts 4 ptr[i] + 2 a deg[i] into the data, deg[i] the
-    node count of row i, and a node pair at s - ptr[i] into its row sits at
-    twice that into each of its dof rows.  Only the node-pair index is kept
-    per element entry; `slots` expands it to the dofs for each assembly.
+    The E n^2 node pairs (i, j) are sorted once by the key i n_nodes + j and
+    the distinct ones kept: that is the node pattern in CSR, ptr[i] where
+    row i starts and deg[i] its length.  Every node pair owns the 2 x 2 dof
+    block (2i + a, 2j + b), so the dof pattern is the node pattern with
+    blocks for entries, and the rest is arithmetic: dof row 2i + a starts
+    4 ptr[i] + 2 a deg[i] into the data and holds node row i's columns j as
+    2j, 2j + 1, and a node pair at s - ptr[i] into its row sits at twice
+    that into each of its dof rows.  Only the node-pair index is kept per
+    element entry; `slots` expands it to the dofs for each assembly.
     """
     E, n = elements.shape
-    rows = np.repeat(elements, n, axis=1).ravel()
-    cols = np.tile(elements, n).ravel()
-    nodal = sp.csr_matrix((np.ones(rows.size, np.int8), (rows, cols)), shape=(n_nodes, n_nodes))
-    nodal.data = np.arange(nodal.nnz, dtype=np.int32)
-    s = np.asarray(nodal[rows, cols], dtype=np.int32).reshape(E, n, n)
-    ptr = nodal.indptr.astype(np.int32)
-    dofs = sp.bsr_matrix((np.ones((nodal.nnz, 2, 2), np.int8), nodal.indices, ptr),
-                         shape=(2 * n_nodes, 2 * n_nodes)).tocsr()
-    return StiffnessPattern(dofs.indptr, dofs.indices, 2 * (s + ptr[elements][:, :, None]),
-                            (2 * np.diff(ptr))[elements])
+    itype = np.int32 if n_nodes * n_nodes < 2**31 else np.int64
+    nodes = elements.astype(itype)
+    keys = (nodes[:, :, None] * itype(n_nodes) + nodes[:, None, :]).ravel()
+    order = np.argsort(keys)
+    keys = keys.take(order)
+    first = np.empty(keys.size, bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    s = np.empty(keys.size, np.int32)
+    s[order] = np.cumsum(first, dtype=np.int32) - 1
+    keys = keys[first]
+    ptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=itype) * itype(n_nodes)).astype(np.int32)
+    deg = np.diff(ptr)
+    # node row i's columns twice over, for its dof rows 2i and 2i + 1
+    twice = np.arange(2 * keys.size) - np.repeat(np.repeat(ptr, 2)[1:-1], np.repeat(deg, 2))
+    indices = np.empty((twice.size, 2), np.int32)
+    np.multiply((keys % itype(n_nodes)).take(twice), 2, out=indices[:, 0], casting="unsafe")
+    np.add(indices[:, 0], 1, out=indices[:, 1])
+    indptr = np.empty(2 * n_nodes + 1, np.int32)
+    indptr[0::2] = 4 * ptr
+    indptr[1::2] = indptr[:-1:2] + 2 * deg
+    return StiffnessPattern(indptr, indices.ravel(), 2 * (s.reshape(E, n, n) + ptr[elements][:, :, None]),
+                            (2 * deg)[elements])
 
 
 def _free_layout(indptr, indices, free):
     """K_FF = K[free][:, free] in CSC for every K with this CSR pattern, as
-    (take, indices, indptr) with K_FF's data K.data[take].  It is scipy's own
-    slice of a copy of the pattern valued by data position, so K_FF has
-    exactly the layout that slicing K would give it."""
-    n = indptr.size - 1
-    P = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr), shape=(n, n))
-    P = P[free][:, free].tocsc()
-    return P.data, P.indices, P.indptr
+    (take, indices, indptr) with K_FF's data K.data[take]: the layout that
+    slicing K in scipy would give it, rows sorted within each column.
+
+    free is node-major in the nodes' rank, their dissection order, so the
+    nodes it names, in order, rank them.  The node pattern is read off the
+    dof pattern (dof row 2i holds node row i's columns j as 2j, 2j + 1), and
+    its entries (i, j) between ranked nodes are sorted once, by rank j, then
+    rank i.  Each stands for the pair of rows 2i, 2i + 1, at (2i, 2j) and
+    (2i + 1, 2j) in K's data, and column node j's list of pairs is K_FF's
+    column for each free dof 2j + b, at the positions + b.  The pairs move
+    as one int64 each; a fixed dof's row, -1 in its pair, is dropped last,
+    and only if some ranked node has one.  Nothing of dof size is sorted.
+    """
+    n_nodes = (indptr.size - 1) // 2
+    ptr = indptr[::2] // 4
+    deg = np.diff(ptr)
+    # node entry u = (i, j): its dof entry (2i, 2j) sits at 2 ptr[i] + 2u
+    at = np.arange(0, 2 * ptr[-1], 2)
+    at += np.repeat(2 * ptr[:-1], deg)
+    node = free // 2
+    first = np.empty(free.size, bool)
+    first[0] = True
+    np.not_equal(node[1:], node[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    count = np.diff(start, append=free.size)
+    ranked = node[start]
+    m = ranked.size
+    # each ranked node's K_FF rows (-1 for a fixed dof) and their data
+    # offsets from row 2i, as pairs
+    index = np.full((m, 2), -1, np.int32)
+    index[np.repeat(np.arange(m), count), free % 2] = np.arange(free.size)
+    offset = np.zeros((m, 2), np.int32)
+    offset[:, 1] = 2 * deg[ranked]
+    # key rank j (m + 1) + rank i; an unranked node's rank m (m + 1) puts
+    # every entry it is in past the others
+    itype = np.int32 if 2 * (m + 1) ** 2 < 2**31 else np.int64
+    rank = np.full(n_nodes, m * (m + 1), itype)
+    rank[ranked] = np.arange(m, dtype=itype)
+    key = np.repeat(rank, deg)
+    rank[ranked] *= m + 1
+    key += rank.take(indices.take(at) >> 1)
+    order = np.argsort(key)
+    key = key.take(order)
+    kept = np.searchsorted(key, m * (m + 1))
+    rank_j, rank_i = np.divmod(key[:kept], itype(m + 1))
+    rows = index.view(np.int64).ravel().take(rank_i)
+    # positions of each pair for b = 0, then for b = 1
+    both = np.empty((2, kept, 2), np.int32)
+    offset.view(np.int64).ravel().take(rank_i, out=both[0].view(np.int64).ravel())
+    both[0] += at.take(order[:kept])[:, None]
+    np.add(both[0], 1, out=both[1])
+    # column node j's pairs span seg[j]:seg[j + 1]; K_FF column 2j + b
+    # reads them from both[b]
+    seg = np.searchsorted(rank_j, np.arange(m + 1))
+    column = np.repeat(np.arange(m), count)
+    pairs = np.diff(seg).take(column)
+    pair_ptr = np.zeros(free.size + 1, np.intp)
+    np.cumsum(pairs, out=pair_ptr[1:])
+    read = np.arange(pair_ptr[-1])
+    read += np.repeat(seg[:-1].take(column) + free % 2 * kept - pair_ptr[:-1], pairs)
+    # rows.take wraps a read of both[1] back onto the same pair
+    out_rows = rows.take(read, mode="wrap").view(np.int32)
+    out_take = both.view(np.int64).ravel().take(read).view(np.int32)
+    out_ptr = 2 * pair_ptr
+    if (count < 2).any():
+        free_row = out_rows >= 0
+        out_ptr = np.concatenate(([0], np.cumsum(free_row))).take(out_ptr)
+        out_take, out_rows = out_take[free_row], out_rows[free_row]
+    return out_take, out_rows, out_ptr.astype(np.int32)
+
+
+def _load_superlu():
+    """scipy's SuperLU extension, loaded from its file under its own name:
+    importing it from scipy.sparse.linalg would import all of scipy.sparse."""
+    stem = Path(scipy.__file__).parent / "sparse" / "linalg" / "_dsolve" / "_superlu"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("_superlu", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no SuperLU extension {stem}.*")
+
+
+_superlu = _load_superlu()
+# the options scipy.sparse.linalg.splu(A, permc_spec="NATURAL",
+# diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)) passes to gstrf
+_SPLU_OPTIONS = dict(DiagPivotThresh=0.0, ColPerm="NATURAL", PanelSize=None, Relax=None,
+                     SymmetricMode=True)
+
+
+def _factorise(K_ff):
+    """SuperLU's factors of K_ff in its own column order, pivoting on the
+    diagonal where it can: splu's call, with L and U read as CSC."""
+    return _superlu.gstrf(K_ff.indptr.size - 1, K_ff.nnz, K_ff.data, K_ff.indices, K_ff.indptr,
+                          csc_construct_func=_factor_csc, ilu=False, options=_SPLU_OPTIONS)
+
+
+def _factor_csc(arrays, shape):
+    """SuperLU's arrays of L or U, their storage cut to the entries."""
+    data, indices, indptr = arrays
+    return CSC(data[: indptr[-1]], indices[: indptr[-1]], indptr)
 
 
 def _pattern(mesh):
@@ -134,7 +276,10 @@ class LinearSystem:
 
     @property
     def stiffness(self):
-        """K in CSR: a view of data on the mesh's pattern, nothing copied."""
+        """K in CSR: a view of data on the mesh's pattern, nothing copied.
+        This alone imports scipy.sparse; the solve does not read it."""
+        import scipy.sparse as sp
+
         pattern = _pattern(self.mesh)
         return sp.csr_matrix((self.data, pattern.indices, pattern.indptr),
                              shape=(self.n_dofs, self.n_dofs))
@@ -263,7 +408,7 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
 
 def _reduced(system):
     """Free dofs F, u holding the prescribed values (zero on F), and K_FF
-    (CSC) and rhs = (f - K u)_F of the eliminated system."""
+    (a CSC) and rhs = (f - K u)_F of the eliminated system."""
     constrained = system.constrained
     fixed = np.fromiter(constrained, np.intp, len(constrained))
     values = np.fromiter(constrained.values(), float, len(constrained))
@@ -279,9 +424,12 @@ def _reduced(system):
     pattern = _pattern(mesh)
     take, indices, indptr = mesh.cached(
         ("free layout", free.tobytes()), lambda: _free_layout(pattern.indptr, pattern.indices, free))
-    K_ff = sp.csc_matrix((system.data[take], indices, indptr), shape=(free.size, free.size))
-    # with every prescribed value 0, K u = 0 and rhs = f_F
-    f = system.load - system.stiffness @ u if values.any() else system.load
+    K_ff = CSC(system.data[take], indices, indptr)
+    f = system.load
+    if values.any():  # else K u = 0 and rhs = f_F
+        # K u in CSR, each row summed in storage order as scipy's mat-vec does
+        rows = np.repeat(np.arange(system.n_dofs), np.diff(pattern.indptr))
+        f = f - np.bincount(rows, system.data * u.take(pattern.indices), system.n_dofs)
     return free, u, K_ff, f[free]
 
 
@@ -289,7 +437,7 @@ def solve(system):
     """Direct sparse solve with symmetric elimination of constrained dofs.
 
     K_ff must be SPD: the free dofs are taken in the mesh's nested-dissection
-    order, and splu factorises K_ff in that order with diagonal pivots.
+    order, and SuperLU factorises K_ff in that order with diagonal pivots.
     Other input raises SingularSystem, IndefiniteSystem if a pivot shows K_ff
     is not positive definite, or returns a solution the checks below
     verified."""
@@ -297,8 +445,7 @@ def solve(system):
     if free.size == 0:
         return FieldSolution(system.mesh, u)
     try:
-        lu = spla.splu(K_ff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
+        lu = _factorise(K_ff)
         u_f = lu.solve(rhs)
     except RuntimeError as err:
         raise SingularSystem(str(err)) from err
@@ -319,8 +466,14 @@ def solve(system):
     # An exactly rank-deficient matrix can slip through factorisation with
     # roundoff-sized pivots; flag those explicitly.  With the rows in their
     # own order (perm_r the identity) the factorisation is a symmetric LDL^T,
-    # and the signs of the pivots are the inertia of K_ff.
-    pivots = lu.U.diagonal()
+    # and the signs of the pivots are the inertia of K_ff.  U is upper
+    # triangular with its rows in order, so each column's pivot is its last
+    # stored entry.
+    U = lu.U
+    last = U.indptr[1:] - 1
+    if (U.indices.take(last) != np.arange(free.size)).any():
+        raise RuntimeError("SuperLU's U has a column that does not end on its diagonal")
+    pivots = U.data.take(last)
     size = np.abs(pivots)
     if size.min() <= 1e-13 * size.max():
         raise SingularSystem("factorisation produced a negligible pivot")
@@ -337,9 +490,8 @@ def solve(system):
 
 
 def _norm_inf(A):
-    """Infinity norm (largest absolute row sum) of a CSC matrix, from its
-    arrays: spla.norm(A, np.inf) would first build an absolute-value copy."""
-    return np.bincount(A.indices, np.abs(A.data), A.shape[0]).max()
+    """Infinity norm (largest absolute row sum) of a CSC, from its arrays."""
+    return np.bincount(A.indices, np.abs(A.data), A.indptr.size - 1).max()
 
 
 def _error_rule(mesh):
@@ -371,9 +523,13 @@ def h1_error(solution, exact_u, exact_grad, relative=False):
     Gh = np.swapaxes(Gh.reshape(x.shape[0], 2, -1, 2), 1, 2)   # du_i/dx_j
     ux = _at_points(exact_u, x, y, (2,))
     Gx = _at_points(exact_grad, x, y, (2, 2))
-    l2_sq = np.sum(wdet * np.sum((uh - ux) ** 2, axis=-1))
+    # a sum of two terms has one order: d[..., 0] + d[..., 1] is np.sum's
+    # result over a length-2 axis, without its per-call cost
+    d = (uh - ux) ** 2
+    l2_sq = np.sum(wdet * (d[..., 0] + d[..., 1]))
     grad_sq = np.sum(wdet * np.sum((Gh - Gx) ** 2, axis=(-2, -1)))
-    exact_l2_sq = np.sum(wdet * np.sum(ux**2, axis=-1))
+    d = ux**2
+    exact_l2_sq = np.sum(wdet * (d[..., 0] + d[..., 1]))
     exact_h1_sq = exact_l2_sq + np.sum(wdet * np.sum(Gx**2, axis=(-2, -1)))
     l2 = np.sqrt(l2_sq)
     h1 = np.sqrt(l2_sq + grad_sq)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .material import _in_plane, plane_strain_stiffness
 from .mesh import LOCAL_NODES
@@ -74,7 +75,7 @@ class QuadratureRule:
 @lru_cache(maxsize=None)
 def gauss_rule_1d(n):
     """Gauss-Legendre points and weights with n points on [-1, 1], read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

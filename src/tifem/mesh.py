@@ -116,7 +116,7 @@ def _structured_mesh(nx, ny, order, mapping):
         dissection=_dissection(mx, my, order),
     )
     for tag, pairs in boundary_edges.items():
-        mesh.boundary_nodes[tag] = np.unique(mesh.edge_nodes(*np.transpose(pairs))).tolist()
+        mesh.boundary_nodes[tag] = sorted(set(mesh.edge_nodes(*np.transpose(pairs)).ravel().tolist()))
     return mesh
 
 

@@ -47,6 +47,14 @@ def distorted_cook_mesh(n, order, rng):
     return mesh
 
 
+def dense(A):
+    """The dense matrix of a square CSC (`tifem.assembly.CSC`), from its arrays."""
+    n = A.indptr.size - 1
+    out = np.zeros((n, n))
+    out[A.indices, np.repeat(np.arange(n), np.diff(A.indptr))] = A.data
+    return out
+
+
 def random_parallelogram(rng, scale=1.0):
     p0 = rng.uniform(-scale, scale, size=2)
     e1 = rng.uniform(0.3 * scale, scale, size=2) * np.array([1.0, 0.0])

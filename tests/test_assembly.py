@@ -38,7 +38,7 @@ import tifem.assembly
 import tifem.benchmarks
 import tifem.material
 from tifem.assembly import _at_points, _norm_inf, _pattern, _reduced
-from conftest import distorted_cook_mesh, sample_admissible
+from conftest import dense, distorted_cook_mesh, sample_admissible
 
 V = FormulationVariant
 
@@ -234,7 +234,7 @@ class TestDirichletAndSolve:
         load = np.array([1.0, -2.0, 3.0, 0.5])
         free, u, K_ff, rhs = _reduced(system_of(K, load))
         assert sorted(free) == [0, 1, 2, 3]
-        assert np.array_equal(K_ff.toarray(), K[np.ix_(free, free)])
+        assert np.array_equal(dense(K_ff), K[np.ix_(free, free)])
         assert np.array_equal(rhs, load[free])
         assert not u.any()
 
@@ -283,25 +283,20 @@ class TestDirichletAndSolve:
         dev = np.linalg.norm(sol.displacements[free] - u_oracle)
         assert dev <= tol * np.linalg.norm(u_oracle)
 
-    def test_dissection_fills_less_than_minimum_degree(self, monkeypatch):
-        # the Q2 n=64 Cook panel: the ordered factors of K_ff against those of
-        # SuperLU's minimum-degree ordering of K + K^T on the same matrix
-        splu, factored = spla.splu, []
-
-        def record(A, **kw):
-            factored.append(A)
-            return splu(A, **kw)
-
-        monkeypatch.setattr(spla, "splu", record)
+    def test_dissection_fills_less_than_minimum_degree(self):
+        # the Q2 n=64 Cook panel: the ordered factors of the K_ff that solve
+        # factorises against those of SuperLU's minimum-degree ordering of
+        # K + K^T on the same matrix
         mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.3, 0.3))
         system = assemble(cook_mesh(64, 2), mp, FRAME0, V.Q2_CG, tractions={"right": (0.0, 6.25)})
         apply_dirichlet(system, {"left": (0.0, 0.0)})
         solve(system)
-        K_ff, = factored
+        _, _, K_ff, _ = _reduced(system)
+        K_ff = sp.csc_matrix(K_ff, shape=(K_ff.indptr.size - 1,) * 2)
 
         def fill(permc_spec):
-            lu = splu(K_ff, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                      options=dict(SymmetricMode=True))
+            lu = spla.splu(K_ff, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
             return lu.L.nnz + lu.U.nnz
 
         assert fill("NATURAL") < fill("MMD_AT_PLUS_A")
@@ -508,7 +503,7 @@ class TestIndefiniteSystem:
                           tractions={"right": (0.0, 6.25)})
         apply_dirichlet(system, {"left": (0.0, 0.0)})
         _, _, K_ff, _ = _reduced(system)
-        negative = np.count_nonzero(np.linalg.eigvalsh(K_ff.toarray()) < 0)
+        negative = np.count_nonzero(np.linalg.eigvalsh(dense(K_ff)) < 0)
         assert negative > 0
         with pytest.raises(IndefiniteSystem, match=f"^K_ff is not positive definite: {negative} negative pivots$"):
             solve(system)
@@ -520,7 +515,7 @@ class TestIndefiniteSystem:
         apply_dirichlet(system, {"left": (0.0, 0.0)})
         solve(system)
         _, _, K_ff, _ = _reduced(system)
-        assert np.linalg.eigvalsh(K_ff.toarray()).min() > 0
+        assert np.linalg.eigvalsh(dense(K_ff)).min() > 0
 
     def test_off_diagonal_pivot_is_refused(self):
         # SuperLU can factorise [[0, 1], [1, 0]] only by swapping its rows
@@ -541,7 +536,7 @@ class TestIndefiniteSystem:
                               tractions={"right": (0.0, 6.25)})
             apply_dirichlet(system, {"left": (0.0, 0.0)})
             _, _, K_ff, _ = _reduced(system)
-            if np.linalg.eigvalsh(K_ff.toarray()).min() > 0:
+            if np.linalg.eigvalsh(dense(K_ff)).min() > 0:
                 solve(system)
             else:
                 with pytest.raises(IndefiniteSystem):
@@ -570,7 +565,7 @@ class TestContracts:
             return solve(system).displacements.reshape(-1, 2)
         except IndefiniteSystem:
             free, u, K_ff, rhs = _reduced(system)
-            u[free] = np.linalg.solve(K_ff.toarray(), rhs)
+            u[free] = np.linalg.solve(dense(K_ff), rhs)
             return u.reshape(-1, 2)
 
     @settings(max_examples=10, derandomize=True, database=None, deadline=None)
@@ -637,7 +632,7 @@ class TestContracts:
                 u = solve(system).displacements
             except IndefiniteSystem:
                 free, u, K_ff, rhs = _reduced(system)
-                u[free] = np.linalg.solve(K_ff.toarray(), rhs)
+                u[free] = np.linalg.solve(dense(K_ff), rhs)
             exact = np.column_stack(linear(*mesh.nodes.T)).ravel()
             assert np.abs(u - exact).max() <= 1e-10 * np.abs(exact).max()
 

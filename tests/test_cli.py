@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import tifem
+import tifem.benchmarks
 from tifem.cli import (
     _fmt,
     build_parser,
@@ -16,6 +23,8 @@ from tifem.cli import (
 )
 from tifem.benchmarks import CSV_HEADER, DEFAULT_ANGLES, BeamConfig, CookConfig
 from tifem.material import ALL_CONDITIONS, EngineeringConstants, check_stability
+from tifem.assembly import _at_points, _error_rule
+from tifem.elements import _interpolate
 
 
 class TestParsing:
@@ -279,6 +288,37 @@ class TestBeamCommand:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_csv_bytes_as_with_np_sum_reductions(self, tmp_path, monkeypatch):
+        # h1_error adds the two terms of each length-2 sum itself; the
+        # default sweep's CSV is the one np.sum over those axes gives
+        def h1_error_by_np_sum(solution, exact_u, exact_grad, relative=False):
+            mesh = solution.mesh
+            vals, dN, wdet, x, y = _error_rule(mesh)
+            ue = solution.displacements.reshape(-1, 2).take(mesh.elements, axis=0)
+            uh = np.swapaxes(_interpolate(ue, vals), 1, 2)
+            Gh = np.swapaxes(ue, 1, 2) @ dN
+            Gh = np.swapaxes(Gh.reshape(x.shape[0], 2, -1, 2), 1, 2)
+            ux = _at_points(exact_u, x, y, (2,))
+            Gx = _at_points(exact_grad, x, y, (2, 2))
+            l2_sq = np.sum(wdet * np.sum((uh - ux) ** 2, axis=-1))
+            grad_sq = np.sum(wdet * np.sum((Gh - Gx) ** 2, axis=(-2, -1)))
+            exact_l2_sq = np.sum(wdet * np.sum(ux**2, axis=-1))
+            exact_h1_sq = exact_l2_sq + np.sum(wdet * np.sum(Gx**2, axis=(-2, -1)))
+            l2, h1 = np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
+            if relative:
+                l2 /= max(np.sqrt(exact_l2_sq), 1e-300)
+                h1 /= max(np.sqrt(exact_h1_sq), 1e-300)
+            return h1, l2
+
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            assert main(["beam", "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+            monkeypatch.setattr(tifem.benchmarks, "h1_error", h1_error_by_np_sum)
+        assert len(outs[0].splitlines()) == 73
+        assert outs[0] == outs[1]
+
     def test_rate_column_populated(self, tmp_path):
         out = tmp_path / "beam.csv"
         assert main(
@@ -458,3 +498,27 @@ class TestDefaults:
         args = build_parser().parse_args([command])
         for f in fields(config):
             assert getattr(args, f.name) == getattr(config(), f.name), f.name
+
+
+def test_startup_loads_no_scipy_sparse(tmp_path):
+    # a fresh interpreter: importing the CLI loads no scipy.sparse module,
+    # and a small run of each command imports nothing more, so no import's
+    # time falls inside a command
+    script = """
+import json, sys
+import tifem.cli
+loaded = set(sys.modules)
+for argv in (["cook", "--p", "2", "--refine", "2", "--angles", "0"],
+             ["beam", "--p", "2", "--refine", "5", "--angles", "0"],
+             ["stability", "--p-steps", "3", "--nu-steps", "3"],
+             ["material", "--p", "2", "--nu-t", "0.3", "--nu-l", "0.3"]):
+    assert tifem.cli.main(argv + ["--out", sys.argv[1]]) == 0
+print(json.dumps([sorted(m for m in loaded if m.startswith("scipy.sparse")),
+                  sorted(set(sys.modules) - loaded)]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(tifem.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv")],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    sparse, imported = json.loads(done.stdout)
+    assert sparse == []
+    assert imported == []

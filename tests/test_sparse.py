@@ -1,0 +1,187 @@
+"""tifem's numpy sparse layouts, mat-vecs and direct SuperLU call against the
+scipy.sparse code they replace.
+
+`tifem.assembly` builds K's pattern and K_FF's layout with numpy and calls
+the `gstrf` of scipy's private SuperLU extension itself.  The scipy.sparse
+forms are kept here as oracles: every layout array must come out the same,
+dtype included, every mat-vec the same bits, and the factorisation the same
+solution, factors and row order as `scipy.sparse.linalg.splu`'s.  A scipy
+release that changes gstrf's call or how it stores the factors fails here.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
+
+from tifem import (
+    EngineeringConstants,
+    FibreFrame,
+    FormulationVariant,
+    apply_dirichlet,
+    assemble,
+    cook_mesh,
+    derive_parameters,
+    rectangle_mesh,
+)
+from tifem.assembly import CSC, _factorise, _free_layout, _reduced, _stiffness_pattern
+from conftest import dense, distorted_cook_mesh, sample_admissible
+
+V = FormulationVariant
+
+
+def oracle_pattern(elements, n_nodes):
+    """_stiffness_pattern through scipy's COO -> CSR and BSR -> CSR."""
+    E, n = elements.shape
+    rows = np.repeat(elements, n, axis=1).ravel()
+    cols = np.tile(elements, n).ravel()
+    nodal = sp.csr_matrix((np.ones(rows.size, np.int8), (rows, cols)), shape=(n_nodes, n_nodes))
+    nodal.data = np.arange(nodal.nnz, dtype=np.int32)
+    s = np.asarray(nodal[rows, cols], dtype=np.int32).reshape(E, n, n)
+    ptr = nodal.indptr.astype(np.int32)
+    dofs = sp.bsr_matrix((np.ones((nodal.nnz, 2, 2), np.int8), nodal.indices, ptr),
+                         shape=(2 * n_nodes, 2 * n_nodes)).tocsr()
+    return (dofs.indptr, dofs.indices, 2 * (s + ptr[elements][:, :, None]),
+            (2 * np.diff(ptr))[elements])
+
+
+def oracle_free_layout(indptr, indices, free):
+    """_free_layout as scipy's slice of the pattern valued by data position."""
+    n = indptr.size - 1
+    P = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr), shape=(n, n))
+    P = P[free][:, free].tocsc()
+    return P.data, P.indices, P.indptr
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+
+
+@st.composite
+def meshes(draw):
+    """A distorted Cook panel or a rectangle grid, Q1 or Q2, with 1 to 5
+    cells a side, and a seed for what is drawn on it."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    order = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        mesh = distorted_cook_mesh(draw(st.integers(1, 5)), order, rng)
+    else:
+        mesh = rectangle_mesh(2.0, 1.0, draw(st.integers(1, 5)), draw(st.integers(1, 5)), order)
+    return mesh, rng
+
+
+def random_free(mesh, rng):
+    """The dofs node by node in the mesh's dissection order, each kept with a
+    drawn probability, at least one kept: a free set as solve takes it."""
+    dofs = (2 * mesh.dissection[:, None] + [0, 1]).ravel()
+    keep = rng.random(dofs.size) < rng.uniform(0.05, 1.0)
+    keep[rng.integers(dofs.size)] = True
+    return dofs[keep]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(drawn=meshes())
+def test_layouts_equal_scipys(drawn):
+    mesh, rng = drawn
+    pattern = _stiffness_pattern(mesh.elements, mesh.n_nodes)
+    assert_same_arrays(pattern, oracle_pattern(mesh.elements, mesh.n_nodes))
+    for free in (random_free(mesh, rng), random_free(mesh, rng),
+                 (2 * mesh.dissection[:, None] + [0, 1]).ravel()):
+        assert_same_arrays(_free_layout(pattern.indptr, pattern.indices, free),
+                           oracle_free_layout(pattern.indptr, pattern.indices, free))
+
+
+def constrained_system(mesh, rng, variant):
+    """A random admissible material and fibre on the mesh, with the dofs
+    outside a random free set held at random values."""
+    mp = derive_parameters(sample_admissible(rng))
+    system = assemble(mesh, mp, FibreFrame.from_angle(rng.uniform(0.0, math.pi)), variant,
+                      tractions={"right": tuple(rng.uniform(-1.0, 1.0, 2))})
+    fixed = np.setdiff1d(np.arange(system.n_dofs), random_free(mesh, rng))
+    system.constrained.update(zip(fixed.tolist(), rng.uniform(-1.0, 1.0, fixed.size).tolist()))
+    return system
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(drawn=meshes())
+def test_mat_vecs_have_scipys_bits(drawn):
+    mesh, rng = drawn
+    variant = V.Q1_CG_UI_betalambda if mesh.order == 1 else V.Q2_CG
+    system = constrained_system(mesh, rng, variant)
+    free, u, K_ff, rhs = _reduced(system)
+    K = system.stiffness
+    assert rhs.tobytes() == (system.load - K @ u)[free].tobytes()
+    oracle = K[free][:, free].tocsc()
+    assert_same_arrays(K_ff, (oracle.data, oracle.indices, oracle.indptr))
+    x = rng.standard_normal(free.size)
+    assert (K_ff @ x).tobytes() == (oracle @ x).tobytes()
+
+
+def splu(K_ff):
+    """What solve factorised before it called gstrf itself."""
+    A = sp.csc_matrix(K_ff, shape=(K_ff.indptr.size - 1,) * 2)
+    return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(drawn=meshes(), variant=st.sampled_from(list(V)))
+def test_factorisation_equals_splus(drawn, variant):
+    # every variant, so that indefinite and singular K_FF are drawn too
+    mesh, rng = drawn
+    if variant.order != mesh.order:
+        variant = V.Q1_CG if mesh.order == 1 else V.Q2_CG
+    system = constrained_system(mesh, rng, variant)
+    _, _, K_ff, rhs = _reduced(system)
+    try:
+        expected = splu(K_ff)
+    except RuntimeError as err:
+        with pytest.raises(RuntimeError, match=str(err)):
+            _factorise(K_ff)
+        return
+    lu = _factorise(K_ff)
+    assert lu.solve(rhs).tobytes() == expected.solve(rhs).tobytes()
+    assert np.array_equal(lu.perm_r, expected.perm_r)
+    assert np.array_equal(lu.perm_c, expected.perm_c)
+    for got, want in ((lu.L, expected.L), (lu.U, expected.U)):
+        assert_same_arrays(got, (want.data[: want.nnz], want.indices[: want.nnz], want.indptr))
+    # solve reads each pivot as the last stored entry of its U column
+    last = lu.U.indptr[1:] - 1
+    assert np.array_equal(lu.U.indices[last], np.arange(last.size))
+    assert lu.U.data[last].tobytes() == expected.U.diagonal().tobytes()
+
+
+def test_hand_factors():
+    # L D L^T of [[4, 1, 0], [1, 5, 2], [0, 2, 6]], U = D L^T with pivots
+    # 4, 5 - 1/4 and 6 - 4 / 4.75, each U column ending on its diagonal
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
+    csc = sp.csc_matrix(A)
+    lu = _factorise(CSC(csc.data, csc.indices, csc.indptr))
+    L, U = dense(lu.L), dense(lu.U)
+    assert np.array_equal(np.diag(L), np.ones(3)) and not np.triu(L, 1).any()
+    assert not np.tril(U, -1).any()
+    assert np.allclose(np.diag(U), [4.0, 4.75, 6.0 - 4.0 / 4.75], rtol=1e-15, atol=0.0)
+    assert np.allclose(L @ U, A, rtol=1e-15, atol=1e-15)
+    assert np.array_equal(lu.U.indices[lu.U.indptr[1:] - 1], [0, 1, 2])
+
+
+@pytest.mark.parametrize("n, variant, fill", [(64, V.Q2_CG, 4_216_544),
+                                              (128, V.Q1_CG_UI_betalambda, 4_228_560)])
+def test_panel_lu_fill(n, variant, fill):
+    # the two panel_large factorisations, 8,445,104 L + U nonzeros together:
+    # the nested-dissection order's fill, which depends on the pattern alone
+    mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.3, 0.3))
+    system = assemble(cook_mesh(n, variant.order), mp, FibreFrame.from_angle(math.pi / 3), variant,
+                      tractions={"right": (0.0, 6.25)})
+    apply_dirichlet(system, {"left": (0.0, 0.0)})
+    _, _, K_ff, _ = _reduced(system)
+    lu = _factorise(K_ff)
+    assert lu.L.nnz + lu.U.nnz == fill
+
