@@ -4,6 +4,8 @@ Degrees of freedom are interleaved: node i owns dofs (2i, 2i+1) for the
 x and y displacement components.  Dirichlet constraints are eliminated at
 solve time: the free dofs F solve K_FF u_F = (f - K u)_F, where u holds the
 prescribed values, zero on F.  The assembled matrix always covers all dofs.
+K u is taken from K's rows of the fixed dofs with nonzero values, which K's
+exact symmetry makes its columns.
 F lists the free dofs node by node in the mesh's nested-dissection order
 (`QuadMesh.dissection`), and K_FF is factorised with no further ordering.
 
@@ -50,7 +52,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .elements import (
     FormulationVariant, _interpolate, _lagrange_1d, gauss_rule_1d, geometry, moments,
@@ -224,8 +225,10 @@ def _free_layout(indptr, indices, free):
 
 def _load_superlu():
     """scipy's SuperLU extension, loaded from its file under its own name:
-    importing it from scipy.sparse.linalg would import all of scipy.sparse."""
-    stem = Path(scipy.__file__).parent / "sparse" / "linalg" / "_dsolve" / "_superlu"
+    importing it from scipy.sparse.linalg would import all of scipy.sparse,
+    and scipy's directory is found without running its __init__."""
+    scipy = Path(importlib.util.find_spec("scipy").origin).parent
+    stem = scipy / "sparse" / "linalg" / "_dsolve" / "_superlu"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = stem.with_name(stem.name + suffix)
         if path.is_file():
@@ -362,12 +365,8 @@ def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
     """
     if variant.order != mesh.order:
         raise ValueError(f"{variant.value} needs an order-{variant.order} mesh")
-    full = mesh.cached("moments", lambda: moments(mesh.nodes[mesh.elements], mesh.order))
-    reduced = None
-    if variant.reduced:
-        reduced = mesh.cached("reduced moments",
-                              lambda: moments(mesh.nodes[mesh.elements], 1, reduced=True))
-    Ke = stiffness_blocks(mp, frame, variant, full, reduced)
+    sets = mesh.cached("moments", lambda: moments(mesh.nodes[mesh.elements], mesh.order))
+    Ke = stiffness_blocks(mp, frame, variant, *sets)
     pattern = _pattern(mesh)
     data = np.bincount(pattern.slots().ravel(), Ke.ravel(), pattern.indices.size)
     return LinearSystem(data=data, load=load_vector(mesh, body_force, tractions), mesh=mesh,
@@ -427,9 +426,16 @@ def _reduced(system):
     K_ff = CSC(system.data[take], indices, indptr)
     f = system.load
     if values.any():  # else K u = 0 and rhs = f_F
-        # K u in CSR, each row summed in storage order as scipy's mat-vec does
-        rows = np.repeat(np.arange(system.n_dofs), np.diff(pattern.indptr))
-        f = f - np.bincount(rows, system.data * u.take(pattern.indices), system.n_dofs)
+        # K u from the rows of the dofs j where u_j != 0, in ascending j.  K
+        # is symmetric bit for bit, so row j holds column j, and entry i sums
+        # K_ij u_j in the order scipy's CSR mat-vec sums row i; the terms it
+        # also adds where u_j = 0 are zeros, which change no sum from +0.
+        nonzero = np.flatnonzero(u)
+        start = pattern.indptr.take(nonzero)
+        count = pattern.indptr.take(nonzero + 1) - start
+        at = np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
+        terms = system.data.take(at) * np.repeat(u.take(nonzero), count)
+        f = f - np.bincount(pattern.indices.take(at), terms, system.n_dofs)
     return free, u, K_ff, f[free]
 
 
@@ -523,14 +529,17 @@ def h1_error(solution, exact_u, exact_grad, relative=False):
     Gh = np.swapaxes(Gh.reshape(x.shape[0], 2, -1, 2), 1, 2)   # du_i/dx_j
     ux = _at_points(exact_u, x, y, (2,))
     Gx = _at_points(exact_grad, x, y, (2, 2))
-    # a sum of two terms has one order: d[..., 0] + d[..., 1] is np.sum's
-    # result over a length-2 axis, without its per-call cost
+    # the components' sums are written out in np.sum's order over these
+    # short axes, left to right, without its per-call cost
     d = (uh - ux) ** 2
     l2_sq = np.sum(wdet * (d[..., 0] + d[..., 1]))
-    grad_sq = np.sum(wdet * np.sum((Gh - Gx) ** 2, axis=(-2, -1)))
+    e = (Gh - Gx) ** 2
+    grad_sq = np.sum(wdet * (((e[..., 0, 0] + e[..., 0, 1]) + e[..., 1, 0]) + e[..., 1, 1]))
     d = ux**2
     exact_l2_sq = np.sum(wdet * (d[..., 0] + d[..., 1]))
-    exact_h1_sq = exact_l2_sq + np.sum(wdet * np.sum(Gx**2, axis=(-2, -1)))
+    e = Gx**2
+    exact_grad_sq = np.sum(wdet * (((e[..., 0, 0] + e[..., 0, 1]) + e[..., 1, 0]) + e[..., 1, 1]))
+    exact_h1_sq = exact_l2_sq + exact_grad_sq
     l2 = np.sqrt(l2_sq)
     h1 = np.sqrt(l2_sq + grad_sq)
     if relative:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 parse/config error or an unwritable --out path,
 import argparse
 import contextlib
 import json
+import locale  # noqa: F401  (argparse's gettext imports it for the first parser of a run)
 import math
 import re
 import sys

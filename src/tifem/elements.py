@@ -15,6 +15,8 @@ dN_a/dx_j dN_b/dx_l on the kernel's own rule, and the reduced moments
 (int dN_a/dx_j)(int dN_b/dx_l) / |E| from the same rule, hold all of the
 geometry and none of the material (`moments`); each stiffness contracts them
 with the material's 4 x 4 coefficients in gradient form (`stiffness_blocks`).
+On Q1 the reduced moments are rank-one products on the full set's geometry,
+one call of `geometry` for both sets and one multiplication per entry.
 `assembly.assemble` keeps a mesh's moments on the mesh (`QuadMesh.cached`),
 built on first use from the nodes as they are at that time, and contracts
 them for every operator; `element_stiffness` and `p0_projected_term` build
@@ -185,30 +187,34 @@ def _reduced_coefficient(term, coefficient, frame):
     return coefficient * np.outer(t, t)
 
 
-def _moments(dN, wdet):
-    """sum_q wdet[e, q] dN[e, q, a, j] dN[e, q, b, l] as (3, E, n, n) for
-    jl = 00, 01, 11: one (n, q) @ (q, n) product per element and block."""
-    wdN = np.swapaxes(wdet[..., None, None] * dN, 1, 3)
-    return np.stack([wdN[:, j] @ dN[..., l] for j, l in ((0, 0), (0, 1), (1, 1))])
+# The blocks jl = 00, 01, 11 of a moment set; M_10 = M_01^T.
+_JL = ((0, 0), (0, 1), (1, 1))
 
 
-def _integrated(dN, wdet):
-    """The gradients and weights of a one-point rule on which _moments gives
-    the reduced moments (int dN_a/dx_j)(int dN_b/dx_l) / |E|: int dN as
-    (E, 1, n, 2) and 1 / |E| as (E, 1)."""
-    return (np.sum(wdet[..., None, None] * dN, axis=1, keepdims=True),
-            1.0 / wdet.sum(axis=1, keepdims=True))
-
-
-def moments(coords, order, reduced=False):
+def moments(coords, order):
     """Material-free element moments on the kernel's (order + 1)^2 rule.
 
-    coords: (E, n, 2).  Returns M_jl[e, a, b] = sum_q w det J dN_a/dx_j
-    dN_b/dx_l as (3, E, n, n) for jl = 00, 01, 11 (M_10 = M_01^T), or with
-    reduced=True the reduced moments (int dN_a/dx_j)(int dN_b/dx_l) / |E|.
+    coords: (E, n, 2).  Returns the moments M_jl[e, a, b] = sum_q w det J
+    dN_a/dx_j dN_b/dx_l as (3, E, n, n) for jl = 00, 01, 11 (M_10 = M_01^T),
+    in a tuple that on order 1 holds the reduced moments (int dN_a/dx_j)
+    (int dN_b/dx_l) / |E| next: both sets from one call of `geometry`,
+    written into one array.
     """
     _, dN, wdet = geometry(coords, order, order + 1)
-    return _moments(*_integrated(dN, wdet)) if reduced else _moments(dN, wdet)
+    E, _, n, _ = dN.shape
+    wdN = wdet[..., None, None] * dN
+    sets = np.empty((2 if order == 1 else 1, 3, E, n, n))
+    # one (n, q) @ (q, n) product per element and block
+    for M, (j, l) in zip(sets[0], _JL):
+        np.matmul(np.swapaxes(wdN[..., j], 1, 2), dN[..., l], out=M)
+    if order == 1:
+        # a rank-one product per element and block: each entry is the one
+        # product (int dN_a/dx_j / |E|) int dN_b/dx_l
+        g = np.sum(wdN, axis=1)
+        wg = g * (1.0 / wdet.sum(axis=1))[:, None, None]
+        for M, (j, l) in zip(sets[1], _JL):
+            np.multiply(wg[:, :, j, None], g[:, None, :, l], out=M)
+    return tuple(sets)
 
 
 def _blocks(terms):
@@ -231,7 +237,9 @@ def _blocks(terms):
     for C_term, M_term in rest:
         K += product(C_term, M_term)
     K = K.reshape((2, 2) + M.shape[1:])
-    K += K.transpose(1, 0, 2, 4, 3)
+    # into a new array: K += K.transpose(...) would read what it writes, so
+    # numpy would first copy all of K
+    K = np.add(K, K.transpose(1, 0, 2, 4, 3))
     K *= 0.5
     return K
 
@@ -274,9 +282,7 @@ def element_stiffness(coords, mp, frame, variant):
         raise ValueError(
             f"{variant.value} expects {n_expected} nodes, got shape {coords.shape}"
         )
-    _, dN, wdet = geometry(coords.reshape(-1, n_expected, 2), order, order + 1)
-    reduced = _moments(*_integrated(dN, wdet)) if variant.reduced else None
-    K = stiffness_blocks(mp, frame, variant, _moments(dN, wdet), reduced)
+    K = stiffness_blocks(mp, frame, variant, *moments(coords.reshape(-1, n_expected, 2), order))
     return _interleaved(K).reshape(coords.shape[:-2] + (2 * n_expected,) * 2)
 
 
@@ -292,7 +298,8 @@ def p0_projected_term(coords, coefficient, which, frame=None):
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (4, 2):
         raise ValueError("reduced terms are defined for order-1 elements")
-    return _interleaved(_blocks([(C, moments(coords[None], 1, reduced=True))]))[0]
+    _, reduced = moments(coords[None], 1)
+    return _interleaved(_blocks([(C, reduced)]))[0]
 
 
 # One-point under-integrated term: the matrix of p0_projected_term on every

@@ -10,8 +10,9 @@ dissection elimination order of its nodes (George, SIAM J. Numer. Anal.
 10(2), 1973): a grid line of element edges separates the nodes on either
 side exactly, so each block of the grid is cut across its longer side at the
 middle such line, its two halves are ordered first and the line last, down
-to blocks with no interior element-edge line.  The linear solve factorises
-in this order.
+to blocks with no interior element-edge line.  The order is built level by
+level, every block of a level at once, each placed where the recursion
+would place it.  The linear solve factorises in this order.
 
 Whatever the solves on a mesh share is kept in the mesh's one cache
 (QuadMesh.cached) and built there on first use, from the mesh as it is at
@@ -26,6 +27,7 @@ vector and the nodes it reads, the driver keeps next to the mesh
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -101,10 +103,15 @@ def _structured_mesh(nx, ny, order, mapping):
         "left": [(ey * nx, 3) for ey in range(ny)],
     }
 
-    corners = elements[:, :4]
-    pts = nodes[corners]                      # (E, 4, 2)
-    diffs = pts[:, :, None, :] - pts[:, None, :, :]
-    h = float(np.sqrt((diffs**2).sum(-1).max()))
+    # the longest of the six corner pairs' distances over the elements, each
+    # corner of every element a view of the grid of element corners
+    grid = nodes.reshape(my + 1, mx + 1, 2)[::order, ::order]
+    corners = grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
+    longest = []
+    for a, b in combinations(corners, 2):
+        d = (a - b) ** 2
+        longest.append((d[..., 0] + d[..., 1]).max())
+    h = float(np.sqrt(np.max(longest)))
 
     mesh = QuadMesh(
         nodes=nodes,
@@ -124,32 +131,57 @@ def _dissection(mx, my, order):
     """Nested-dissection order of the (my + 1) x (mx + 1) node grid.
 
     Element edges lie on the grid lines whose index is a multiple of
-    `order`; a Q2 element straddles each odd line.
+    `order`; a Q2 element straddles each odd line.  The order is built level
+    by level over arrays of blocks: a block that is cut places its first
+    half where its own order starts, its second half after that and its
+    line last, and every block that is not cut, and every line, is a
+    rectangle of the grid that fills its place row by row.
     """
-    grid = np.arange((mx + 1) * (my + 1)).reshape(my + 1, mx + 1)
-    parts = []
+    # rows (i0, i1, j0, j1, start): the block of grid columns i0..i1 and rows
+    # j0..j1, bounds included, whose order starts at position start
+    block = np.array([[0, mx, 0, my, 0]])
+    placed = []
+    while block.size:
+        i0, i1, j0, j1, _ = block.T
+        si, sj = _middle_line(i0, i1, order), _middle_line(j0, j1, order)
+        across = (si >= 0) & ((sj < 0) | (i1 - i0 >= j1 - j0))
+        cut = across | (sj >= 0)
+        placed.append(block[~cut])
+        block = block[cut]
+        # the line's grid index, and the bounds it sets: (i0, i1) or (j0, j1)
+        line_at = np.where(across, si, sj)[cut]
+        rows = np.arange(block.shape[0])
+        lo = np.where(across[cut], 0, 2)
+        first, second, line = block.copy(), block.copy(), block.copy()
+        first[rows, lo + 1] = line_at - 1
+        second[rows, lo] = line_at + 1
+        line[rows, lo] = line[rows, lo + 1] = line_at
+        second[:, 4] += _size(first)
+        line[:, 4] = second[:, 4] + _size(second)
+        placed.append(line)
+        block = np.concatenate([first, second])
+    placed = np.concatenate(placed)
+    i0, i1, j0, _, start = placed.T
+    width, size = i1 - i0 + 1, _size(placed)
+    at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    row, col = np.divmod(at, np.repeat(width, size))
+    row += np.repeat(j0, size)
+    col += np.repeat(i0, size)
+    nodes = np.empty(at.size, np.intp)
+    nodes[np.repeat(start, size) + at] = row * (mx + 1) + col
+    return nodes
 
-    def middle_line(lo, hi):
-        # middle element-edge line strictly between lo and hi, or None
-        first, last = lo // order + 1, (hi - 1) // order
-        return order * ((first + last) // 2) if first <= last else None
 
-    def visit(i0, i1, j0, j1):
-        # the block of grid columns i0..i1 and rows j0..j1, bounds included
-        si, sj = middle_line(i0, i1), middle_line(j0, j1)
-        if si is not None and (sj is None or i1 - i0 >= j1 - j0):
-            visit(i0, si - 1, j0, j1)
-            visit(si + 1, i1, j0, j1)
-            parts.append(grid[j0 : j1 + 1, si])
-        elif sj is not None:
-            visit(i0, i1, j0, sj - 1)
-            visit(i0, i1, sj + 1, j1)
-            parts.append(grid[sj, i0 : i1 + 1])
-        else:
-            parts.append(grid[j0 : j1 + 1, i0 : i1 + 1].ravel())
+def _middle_line(lo, hi, order):
+    """The middle element-edge line strictly between lo and hi of each
+    block, or -1 where there is none."""
+    first, last = lo // order + 1, (hi - 1) // order
+    return np.where(first <= last, order * ((first + last) // 2), -1)
 
-    visit(0, mx, 0, my)
-    return np.concatenate(parts)
+
+def _size(block):
+    """The number of grid nodes in each block (i0, i1, j0, j1, start)."""
+    return (block[:, 1] - block[:, 0] + 1) * (block[:, 3] - block[:, 2] + 1)
 
 
 def rectangle_mesh(L, H, nx, ny, order=1):

@@ -36,6 +36,7 @@ from tifem import (
 from tifem import EngineeringConstants, FieldSolution, gauss_rule, shape_functions
 import tifem.assembly
 import tifem.benchmarks
+import tifem.elements
 import tifem.material
 from tifem.assembly import _at_points, _norm_inf, _pattern, _reduced
 from conftest import dense, distorted_cook_mesh, sample_admissible
@@ -264,6 +265,19 @@ class TestDirichletAndSolve:
         with pytest.raises(SingularSystem, match="^solver produced non-finite values$"):
             solve(system)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("term", ["lam", "beta", "mu_t"])
+    def test_non_finite_stiffness_is_rejected(self, term, bad):
+        # with nonzero prescribed values, so that K u is formed
+        mesh = rectangle_mesh(2.0, 1.0, 3, 2, order=1)
+        mp = replace(derive_parameters(EngineeringConstants(250.0, 3.0, 1.0, 0.3, 0.3)),
+                     **{term: bad})
+        with np.errstate(invalid="ignore"):
+            system = assemble(mesh, mp, FibreFrame.from_angle(0.3), V.Q1_CG)
+            apply_dirichlet(system, {"left": (0.0, 0.0), "right": (0.1, None)})
+            with pytest.raises(SingularSystem):
+                solve(system)
+
     @pytest.mark.parametrize("variant", list(V))
     @pytest.mark.parametrize("p, nu", [(1.0001, 0.49995), (1e5, 0.49999)])
     def test_distorted_mesh_against_dense_oracle(self, variant, p, nu):
@@ -430,13 +444,10 @@ class TestGather:
 
         counted(tifem.assembly, "_stiffness_pattern", "pattern")
         counted(tifem.assembly, "_free_layout", "layout")
-        moments = tifem.assembly.moments
-
-        def counted_moments(coords, order, reduced=False):
-            calls.append("reduced moments" if reduced else "moments")
-            return moments(coords, order, reduced)
-
-        monkeypatch.setattr(tifem.assembly, "moments", counted_moments)
+        counted(tifem.assembly, "moments", "moments")
+        # the element geometry of the moments; loads and the error rule take
+        # theirs through tifem.assembly's own name
+        counted(tifem.elements, "geometry", "geometry")
         counted(tifem.assembly, "_error_rule", "error rule")
         # each call integrates one load field, calling its function once
         counted(tifem.assembly, "_add_load", "load")
@@ -446,11 +457,11 @@ class TestGather:
         report = run_cook(CookConfig(p_list=(2.0, 10.0, 100.0), refine=(2, 4),
                                      variants=(V.Q1_CG, V.Q2_CG, V.Q1_CG_UI_lambda)))
         assert report.all_ok and len(report.rows) == 18
-        # one pattern, K_FF layout, set of moments and load per mesh (2
-        # refinements x 2 orders), reduced moments per Q1 mesh, and one
-        # material per p
-        assert sorted(calls) == (["layout"] * 4 + ["load"] * 4 + ["material"] * 3
-                                 + ["moments"] * 4 + ["pattern"] * 4 + ["reduced moments"] * 2)
+        # one pattern, K_FF layout, load and call of moments per mesh (2
+        # refinements x 2 orders), whose one geometry gives a Q1 mesh its
+        # reduced moments too, and one material per p
+        assert sorted(calls) == (["geometry"] * 4 + ["layout"] * 4 + ["load"] * 4
+                                 + ["material"] * 3 + ["moments"] * 4 + ["pattern"] * 4)
         calls.clear()
         solved = []
         solve = tifem.benchmarks.solve
@@ -463,12 +474,13 @@ class TestGather:
         assert len({id(s.load) for s in solved}) == len({id(s.mesh) for s in solved}) == 8
         # 60 solves on 8 meshes (4 refinements x 2 orders) for 3 values of p:
         # the traction is integrated and the two monitored nodes found once
-        # per mesh, the error rule's geometry built once per mesh, and the
-        # material and its exact solution once per p
+        # per mesh, the moments, their one geometry and the error rule's
+        # geometry built once per mesh, and the material and its exact
+        # solution once per p
         assert sorted(calls) == (
-            ["error rule"] * 8 + ["exact solution"] * 3 + ["layout"] * 8 + ["load"] * 8
-            + ["material"] * 3 + ["moments"] * 8 + ["monitored node"] * 16 + ["pattern"] * 8
-            + ["reduced moments"] * 4)
+            ["error rule"] * 8 + ["exact solution"] * 3 + ["geometry"] * 8 + ["layout"] * 8
+            + ["load"] * 8 + ["material"] * 3 + ["moments"] * 8 + ["monitored node"] * 16
+            + ["pattern"] * 8)
 
 
 def test_only_assembly_imports_scipy():

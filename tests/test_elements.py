@@ -151,6 +151,41 @@ class TestGeometry:
                 element_stiffness(coords[0], mp, FibreFrame.from_angle(0.0), variant)
 
 
+def matmul_moments(coords, order):
+    """The full and reduced moments as one (n, q) @ (q, n) and one (n, 1) @
+    (1, n) product per element and block jl = 00, 01, 11, stacked: the
+    formulas that elements.moments computes into one array."""
+    _, dN, wdet = geometry(coords, order, order + 1)
+    blocks = ((0, 0), (0, 1), (1, 1))
+    wdN = np.swapaxes(wdet[..., None, None] * dN, 1, 3)
+    full = np.stack([wdN[:, j] @ dN[..., l] for j, l in blocks])
+    g = np.sum(wdet[..., None, None] * dN, axis=1, keepdims=True)
+    wg = np.swapaxes(1.0 / wdet.sum(axis=1, keepdims=True)[..., None, None] * g, 1, 3)
+    return full, np.stack([wg[:, j] @ g[..., l] for j, l in blocks])
+
+
+class TestMoments:
+    @pytest.mark.parametrize("n, order", [(16, 1), (128, 1), (16, 2), (64, 2)])
+    def test_equal_the_matmul_formulas_bit_for_bit(self, n, order):
+        mesh = cook_mesh(n, order)
+        coords = mesh.nodes[mesh.elements]
+        got = elements.moments(coords, order)
+        full, reduced = matmul_moments(coords, order)
+        assert len(got) == (2 if order == 1 else 1)
+        assert got[0].tobytes() == full.tobytes()
+        if order == 1:
+            assert got[1].tobytes() == reduced.tobytes()
+
+    def test_equal_the_matmul_formulas_on_distorted_elements(self, rng):
+        coords = np.array([random_quad(rng) for _ in range(50)])
+        q2 = np.array([q2_coords(c) for c in coords])
+        q2 += rng.uniform(-0.03, 0.03, size=q2.shape)
+        for order, c in ((1, coords), (2, q2)):
+            got = elements.moments(c, order)
+            for g, want in zip(got, matmul_moments(c, order)):
+                assert g.shape == want.shape and g.tobytes() == want.tobytes()
+
+
 class TestElementStiffness:
     @pytest.mark.parametrize("variant", list(V))
     def test_symmetry_and_rigid_body_modes(self, variant, rng):

@@ -5,7 +5,7 @@ import pytest
 
 from tifem import cook_mesh, rectangle_mesh
 from tifem.elements import gauss_rule, shape_functions
-from tifem.mesh import COOK_CORNERS, LOCAL_NODES
+from tifem.mesh import COOK_CORNERS, LOCAL_NODES, _dissection, _structured_mesh
 
 
 def element_jacobians(mesh, n_gauss=3):
@@ -109,6 +109,23 @@ class TestCookMesh:
         for n in (2, 4, 8):
             ratio = cook_mesh(2 * n).h / cook_mesh(n).h
             assert 0.45 <= ratio <= 0.55
+
+    @pytest.mark.parametrize("mapping", [
+        lambda s, t: np.column_stack([s + 0.5 * t, t]),
+        lambda s, t: np.column_stack([s - 0.5 * t, t]),
+        lambda s, t: np.column_stack([s, t + 0.5 * s]),
+        lambda s, t: np.column_stack([s, t - 0.5 * s]),
+        lambda s, t: np.column_stack([s + 0.05 * np.sin(9 * t), t + 0.05 * np.cos(7 * s)]),
+    ], ids=["shear-right", "shear-left", "shear-up", "shear-down", "wavy"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_h_is_the_longest_corner_distance(self, mapping, order):
+        # every element's four corners, all pairs: each shear makes another
+        # corner pair the longest
+        for nx, ny in ((5, 5), (7, 3)):
+            mesh = _structured_mesh(nx, ny, order, mapping)
+            corners = mesh.nodes[mesh.elements[:, :4]]
+            d = corners[:, :, None] - corners[:, None, :]
+            assert mesh.h == float(np.sqrt((d**2).sum(-1).max()))
 
     def test_no_orphan_nodes(self):
         mesh = cook_mesh(3, order=2)
@@ -219,6 +236,35 @@ def dissection_cuts(mesh, nx):
     return cuts
 
 
+def recursive_dissection(mx, my, order):
+    """The nested-dissection order by one call per block, the recursion that
+    mesh._dissection unrolls into levels."""
+    grid = np.arange((mx + 1) * (my + 1)).reshape(my + 1, mx + 1)
+    parts = []
+
+    def middle_line(lo, hi):
+        # middle element-edge line strictly between lo and hi, or None
+        first, last = lo // order + 1, (hi - 1) // order
+        return order * ((first + last) // 2) if first <= last else None
+
+    def visit(i0, i1, j0, j1):
+        # the block of grid columns i0..i1 and rows j0..j1, bounds included
+        si, sj = middle_line(i0, i1), middle_line(j0, j1)
+        if si is not None and (sj is None or i1 - i0 >= j1 - j0):
+            visit(i0, si - 1, j0, j1)
+            visit(si + 1, i1, j0, j1)
+            parts.append(grid[j0 : j1 + 1, si])
+        elif sj is not None:
+            visit(i0, i1, j0, sj - 1)
+            visit(i0, i1, sj + 1, j1)
+            parts.append(grid[sj, i0 : i1 + 1])
+        else:
+            parts.append(grid[j0 : j1 + 1, i0 : i1 + 1].ravel())
+
+    visit(0, mx, 0, my)
+    return np.concatenate(parts)
+
+
 class TestDissection:
     MESHES = [
         ("rectangle", 1, 1), ("rectangle", 5, 1), ("rectangle", 9, 1),
@@ -243,3 +289,21 @@ class TestDissection:
         assert rectangle_mesh(2.0, 1.0, 2, 1, order=2).dissection.tolist() == [
             0, 1, 5, 6, 10, 11, 3, 4, 8, 9, 13, 14, 2, 7, 12,
         ]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_levels_give_the_recursive_order(self, order):
+        # every grid of up to 40 x 20 cells of nodes, the grids of all small
+        # meshes, in both orders
+        for mx in range(order, 41, order):
+            for my in range(order, 21, order):
+                got = _dissection(mx, my, order)
+                assert got.dtype == np.intp
+                assert np.array_equal(got, recursive_dissection(mx, my, order)), (mx, my)
+                assert np.array_equal(_dissection(my, mx, order),
+                                      recursive_dissection(my, mx, order)), (my, mx)
+
+    @pytest.mark.parametrize("n, order", [(128, 1), (64, 2)])
+    def test_panel_grids_give_the_recursive_order(self, n, order):
+        # the 129 x 129 node grids of the two large panel commands
+        mesh = cook_mesh(n, order)
+        assert np.array_equal(mesh.dissection, recursive_dissection(128, 128, order))

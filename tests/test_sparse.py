@@ -124,6 +124,41 @@ def test_mat_vecs_have_scipys_bits(drawn):
     assert (K_ff @ x).tobytes() == (oracle @ x).tobytes()
 
 
+@pytest.mark.parametrize("variant", list(V))
+def test_assembled_stiffness_is_symmetric_bit_for_bit(variant):
+    # _reduced reads K's rows of the fixed dofs as its columns
+    rng = np.random.default_rng(11)
+    mesh = distorted_cook_mesh(4, variant.order, rng)
+    mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.3, 0.3))
+    system = assemble(mesh, mp, FibreFrame.from_angle(rng.uniform(0.0, math.pi)), variant)
+    K = system.stiffness
+    assert K.T.tocsr().data.tobytes() == K.data.tobytes()
+    K = K.toarray()
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+
+
+@pytest.mark.parametrize("prescribed", [
+    # both components of the left edge's nodes, zero, nonzero, -0.0 and
+    # zero again in turn, and a nonzero pin inside
+    lambda mesh: {**{2 * node + c: [0.0, 0.25, -0.0, 0.0, -1.5][(2 * k + c) % 5]
+                     for k, node in enumerate(mesh.boundary_nodes["left"]) for c in (0, 1)},
+                  2 * mesh.dissection[mesh.n_nodes // 2] + 1: 0.125},
+    lambda mesh: {2 * mesh.boundary_nodes["left"][1] + 1: -0.75},
+], ids=["mixed-zero-and-nonzero", "one-fixed-dof"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_rhs_from_the_fixed_rows_has_scipys_bits(prescribed, order):
+    mesh = distorted_cook_mesh(3, order, np.random.default_rng(5))
+    variant = V.Q1_CG_UI_betalambda if order == 1 else V.Q2_CG
+    mp = derive_parameters(EngineeringConstants(250.0, 10.0, 1.0, 0.3, 0.3))
+    system = assemble(mesh, mp, FibreFrame.from_angle(1.0), variant,
+                      tractions={"right": (0.0, 6.25)})
+    system.constrained.update(prescribed(mesh))
+    free, u, K_ff, rhs = _reduced(system)
+    assert free.size == system.n_dofs - len(system.constrained)
+    assert rhs.tobytes() == (system.load - system.stiffness @ u)[free].tobytes()
+    assert rhs.tobytes() != system.load[free].tobytes()
+
+
 def splu(K_ff):
     """What solve factorised before it called gstrf itself."""
     A = sp.csc_matrix(K_ff, shape=(K_ff.indptr.size - 1,) * 2)
