@@ -6,8 +6,8 @@ solve time: the free dofs F solve K_FF u_F = (f - K u)_F, where u holds the
 prescribed values, zero on F.  The assembled matrix always covers all dofs.
 K u is taken from K's rows of the fixed dofs with nonzero values, which K's
 exact symmetry makes its columns.
-F lists the free dofs node by node in the mesh's nested-dissection order
-(`QuadMesh.dissection`), and K_FF is factorised with no further ordering.
+F lists the free dofs in ascending number, the order in which the mesh
+numbers its nodes for elimination, and K_FF is factorised in that order.
 
 This module alone builds, slices and factorises sparse matrices, and does
 their bookkeeping once per mesh, not per assembly (George and Liu, Computer
@@ -16,8 +16,9 @@ cache (`QuadMesh.cached`).  `_pattern` is the CSR pattern of K and where
 every element-matrix entry goes in its data, so K is one bincount of the
 element matrices over each entry's slot, with nothing sorted per assembly.
 `_free_layout` is, for each set F solved for, the CSC layout of K_FF as a
-gather of K's data, already permuted.  A LinearSystem holds K's values on
-its mesh's pattern, so every K and K_FF of a mesh takes this one path.
+gather of K's data: K's exact symmetry makes K's rows of F, cut to F's
+columns, K_FF's columns.  A LinearSystem holds K's values on its mesh's
+pattern, so every K and K_FF of a mesh takes this one path.
 
 Both layouts and every mat-vec are numpy, and give the arrays and the bits
 that scipy.sparse gives: a mat-vec is a bincount, which sums each entry in
@@ -151,76 +152,21 @@ def _stiffness_pattern(elements, n_nodes):
 
 
 def _free_layout(indptr, indices, free):
-    """K_FF = K[free][:, free] in CSC for every K with this CSR pattern, as
-    (take, indices, indptr) with K_FF's data K.data[take]: the layout that
-    slicing K in scipy would give it, rows sorted within each column.
-
-    free is node-major in the nodes' rank, their dissection order, so the
-    nodes it names, in order, rank them.  The node pattern is read off the
-    dof pattern (dof row 2i holds node row i's columns j as 2j, 2j + 1), and
-    its entries (i, j) between ranked nodes are sorted once, by rank j, then
-    rank i.  Each stands for the pair of rows 2i, 2i + 1, at (2i, 2j) and
-    (2i + 1, 2j) in K's data, and column node j's list of pairs is K_FF's
-    column for each free dof 2j + b, at the positions + b.  The pairs move
-    as one int64 each; a fixed dof's row, -1 in its pair, is dropped last,
-    and only if some ranked node has one.  Nothing of dof size is sorted.
-    """
-    n_nodes = (indptr.size - 1) // 2
-    ptr = indptr[::2] // 4
-    deg = np.diff(ptr)
-    # node entry u = (i, j): its dof entry (2i, 2j) sits at 2 ptr[i] + 2u
-    at = np.arange(0, 2 * ptr[-1], 2)
-    at += np.repeat(2 * ptr[:-1], deg)
-    node = free // 2
-    first = np.empty(free.size, bool)
-    first[0] = True
-    np.not_equal(node[1:], node[:-1], out=first[1:])
-    start = np.flatnonzero(first)
-    count = np.diff(start, append=free.size)
-    ranked = node[start]
-    m = ranked.size
-    # each ranked node's K_FF rows (-1 for a fixed dof) and their data
-    # offsets from row 2i, as pairs
-    index = np.full((m, 2), -1, np.int32)
-    index[np.repeat(np.arange(m), count), free % 2] = np.arange(free.size)
-    offset = np.zeros((m, 2), np.int32)
-    offset[:, 1] = 2 * deg[ranked]
-    # key rank j (m + 1) + rank i; an unranked node's rank m (m + 1) puts
-    # every entry it is in past the others
-    itype = np.int32 if 2 * (m + 1) ** 2 < 2**31 else np.int64
-    rank = np.full(n_nodes, m * (m + 1), itype)
-    rank[ranked] = np.arange(m, dtype=itype)
-    key = np.repeat(rank, deg)
-    rank[ranked] *= m + 1
-    key += rank.take(indices.take(at) >> 1)
-    order = np.argsort(key)
-    key = key.take(order)
-    kept = np.searchsorted(key, m * (m + 1))
-    rank_j, rank_i = np.divmod(key[:kept], itype(m + 1))
-    rows = index.view(np.int64).ravel().take(rank_i)
-    # positions of each pair for b = 0, then for b = 1
-    both = np.empty((2, kept, 2), np.int32)
-    offset.view(np.int64).ravel().take(rank_i, out=both[0].view(np.int64).ravel())
-    both[0] += at.take(order[:kept])[:, None]
-    np.add(both[0], 1, out=both[1])
-    # column node j's pairs span seg[j]:seg[j + 1]; K_FF column 2j + b
-    # reads them from both[b]
-    seg = np.searchsorted(rank_j, np.arange(m + 1))
-    column = np.repeat(np.arange(m), count)
-    pairs = np.diff(seg).take(column)
-    pair_ptr = np.zeros(free.size + 1, np.intp)
-    np.cumsum(pairs, out=pair_ptr[1:])
-    read = np.arange(pair_ptr[-1])
-    read += np.repeat(seg[:-1].take(column) + free % 2 * kept - pair_ptr[:-1], pairs)
-    # rows.take wraps a read of both[1] back onto the same pair
-    out_rows = rows.take(read, mode="wrap").view(np.int32)
-    out_take = both.view(np.int64).ravel().take(read).view(np.int32)
-    out_ptr = 2 * pair_ptr
-    if (count < 2).any():
-        free_row = out_rows >= 0
-        out_ptr = np.concatenate(([0], np.cumsum(free_row))).take(out_ptr)
-        out_take, out_rows = out_take[free_row], out_rows[free_row]
-    return out_take, out_rows, out_ptr.astype(np.int32)
+    """K_FF = K[free][:, free] in CSC, scipy's arrays, as (take, indices,
+    indptr) with data K.data[take], for ascending free and every K on this
+    CSR pattern that is symmetric bit for bit: K_FF's column of free dof j is
+    K's row j cut to the free columns, entry (i, j) read from K's (j, i)."""
+    index = np.full(indptr.size - 1, -1, np.int32)
+    index[free] = np.arange(free.size, dtype=np.int32)
+    start = indptr.take(free)
+    count = indptr.take(free + 1) - start
+    ends = np.cumsum(count, dtype=np.int32)
+    at = np.arange(ends[-1], dtype=np.int32) + np.repeat(start - ends + count, count)
+    rows = index.take(indices.take(at))
+    kept = rows >= 0
+    ptr = np.zeros(free.size + 1, np.int32)
+    ptr[1:] = np.cumsum(kept, dtype=np.int32).take(ends - 1)
+    return at[kept], rows[kept], ptr
 
 
 def _load_superlu():
@@ -415,11 +361,10 @@ def _reduced(system):
     u[fixed] = values
     mask = np.ones(system.n_dofs, dtype=bool)
     mask[fixed] = False
-    mesh = system.mesh
-    dofs = (2 * mesh.dissection[:, None] + [0, 1]).ravel()
-    free = dofs[mask[dofs]]
+    free = np.flatnonzero(mask)
     if free.size == 0:
         return free, u, None, None
+    mesh = system.mesh
     pattern = _pattern(mesh)
     take, indices, indptr = mesh.cached(
         ("free layout", free.tobytes()), lambda: _free_layout(pattern.indptr, pattern.indices, free))
@@ -442,8 +387,8 @@ def _reduced(system):
 def solve(system):
     """Direct sparse solve with symmetric elimination of constrained dofs.
 
-    K_ff must be SPD: the free dofs are taken in the mesh's nested-dissection
-    order, and SuperLU factorises K_ff in that order with diagonal pivots.
+    K_ff must be SPD: SuperLU factorises it with diagonal pivots in the
+    order of the free dofs, the mesh's elimination order.
     Other input raises SingularSystem, IndefiniteSystem if a pivot shows K_ff
     is not positive definite, or returns a solution the checks below
     verified."""

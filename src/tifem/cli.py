@@ -49,14 +49,21 @@ def parse_angle(token):
     return parse_float(token)
 
 
+def _distinct(values, spec):
+    """The parsed values, refused if one repeats: it would repeat its rows."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated value in {spec!r}")
+    return values
+
+
 def parse_angles(spec):
     if spec is None or spec == "":
         return DEFAULT_ANGLES
-    return tuple(parse_angle(t) for t in spec.split(","))
+    return _distinct(tuple(parse_angle(t) for t in spec.split(",")), spec)
 
 
 def parse_floats(spec):
-    return tuple(parse_float(t) for t in spec.split(","))
+    return _distinct(tuple(parse_float(t) for t in spec.split(",")), spec)
 
 
 def parse_ints(spec):
@@ -64,13 +71,13 @@ def parse_ints(spec):
     values = tuple(int(t) for t in spec.split(","))
     if min(values) < 1:
         raise ValueError(f"refinement levels must be at least 1: {spec!r}")
-    return values
+    return _distinct(values, spec)
 
 
 def parse_variants(spec):
     if spec is None or spec == "":
         return tuple(FormulationVariant)
-    return tuple(FormulationVariant(t.strip()) for t in spec.split(","))
+    return _distinct(tuple(FormulationVariant(t.strip()) for t in spec.split(",")), spec)
 
 
 def _fmt(v):

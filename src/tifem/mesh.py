@@ -5,14 +5,14 @@ corners counterclockwise; Q2 elements append the 4 midside nodes (one per
 edge, same ordering) and the center node.  Local edges: 0 = bottom (nodes
 0-1), 1 = right (1-2), 2 = top (2-3), 3 = left (3-0).
 
-Every mesh is a structured grid, and QuadMesh.dissection holds a nested-
-dissection elimination order of its nodes (George, SIAM J. Numer. Anal.
-10(2), 1973): a grid line of element edges separates the nodes on either
-side exactly, so each block of the grid is cut across its longer side at the
-middle such line, its two halves are ordered first and the line last, down
-to blocks with no interior element-edge line.  The order is built level by
-level, every block of a level at once, each placed where the recursion
-would place it.  The linear solve factorises in this order.
+Every mesh is a structured grid, its nodes numbered in a nested-dissection
+elimination order (George, SIAM J. Numer. Anal. 10(2), 1973): a grid line
+of element edges separates the nodes on either side exactly, so each block
+of the grid is cut across its longer side at the middle such line, its two
+halves are numbered first and the line last, down to blocks with no
+interior element-edge line.  The order is built level by level, every block
+of a level at once, each placed where the recursion would place it.  The
+linear solve factorises the free dofs in ascending number, in this order.
 
 Whatever the solves on a mesh share is kept in the mesh's one cache
 (QuadMesh.cached) and built there on first use, from the mesh as it is at
@@ -48,7 +48,6 @@ class QuadMesh:
     boundary_nodes: dict         # tag -> sorted node index list
     h: float                     # max element diameter
     order: int                   # 1 or 2
-    dissection: np.ndarray       # (n_nodes,) node elimination order
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -89,12 +88,16 @@ def _structured_mesh(nx, ny, order, mapping):
     s = np.linspace(0.0, 1.0, mx + 1)
     t = np.linspace(0.0, 1.0, my + 1)
     S, T = np.meshgrid(s, t, indexing="xy")
-    nodes = mapping(S.ravel(), T.ravel())
+    grid_nodes = mapping(S.ravel(), T.ravel())
 
     # Grid offsets of each local node from its element's lower-left node.
     di, dj = np.array([0, order, 1])[LOCAL_NODES[: (order + 1) ** 2]].T
     j0, i0 = np.divmod(np.arange(nx * ny)[:, None], nx)
     elements = (j0 * order + dj) * (mx + 1) + i0 * order + di
+    # node k is grid node ordered[k], and grid node g is node rank[g]
+    ordered = _dissection(mx, my, order)
+    rank = np.empty_like(ordered)
+    rank[ordered] = np.arange(ordered.size)
 
     boundary_edges = {
         "bottom": [(ex, 0) for ex in range(nx)],
@@ -105,7 +108,7 @@ def _structured_mesh(nx, ny, order, mapping):
 
     # the longest of the six corner pairs' distances over the elements, each
     # corner of every element a view of the grid of element corners
-    grid = nodes.reshape(my + 1, mx + 1, 2)[::order, ::order]
+    grid = grid_nodes.reshape(my + 1, mx + 1, 2)[::order, ::order]
     corners = grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
     longest = []
     for a, b in combinations(corners, 2):
@@ -114,13 +117,12 @@ def _structured_mesh(nx, ny, order, mapping):
     h = float(np.sqrt(np.max(longest)))
 
     mesh = QuadMesh(
-        nodes=nodes,
-        elements=elements,
+        nodes=grid_nodes[ordered],
+        elements=rank[elements],
         boundary_edges=boundary_edges,
         boundary_nodes={},
         h=h,
         order=order,
-        dissection=_dissection(mx, my, order),
     )
     for tag, pairs in boundary_edges.items():
         mesh.boundary_nodes[tag] = sorted(set(mesh.edge_nodes(*np.transpose(pairs)).ravel().tolist()))

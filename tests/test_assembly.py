@@ -49,7 +49,9 @@ FRAME0 = FibreFrame.from_angle(0.0)
 
 def system_of(K, load):
     """A system whose K_FF is the hand matrix K: K on the first dofs of a
-    one-element Q1 mesh, whose 8 x 8 pattern is dense, the other dofs held at 0."""
+    one-element Q1 mesh, whose 8 x 8 pattern is dense, the other dofs held at 0.
+    K must be symmetric, as every assembled K is bit for bit: solve reads
+    K_FF's column j from K's row j."""
     mesh = rectangle_mesh(1.0, 1.0, 1, 1)
     k = len(K)
     full = np.zeros((8, 8))
@@ -229,12 +231,12 @@ class TestDirichletAndSolve:
         assert np.abs(u - u_oracle).max() <= 1e-12 * np.abs(u_oracle).max()
 
     def test_hand_system_reduces_to_the_hand_matrix(self):
-        # system_of must hand solve exactly K and the load, whatever order
-        # the mesh's dissection takes the first two nodes in
-        K = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, -1.0, 2.0], 1) + np.diag([0.5, 3.0, -2.0], -1)
+        # system_of must hand solve exactly K and the load
+        K = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, -1.0, 2.0], 1) + np.diag([1.0, -1.0, 2.0], -1)
+        K[0, 3] = K[3, 0] = 0.5
         load = np.array([1.0, -2.0, 3.0, 0.5])
         free, u, K_ff, rhs = _reduced(system_of(K, load))
-        assert sorted(free) == [0, 1, 2, 3]
+        assert free.tolist() == [0, 1, 2, 3]
         assert np.array_equal(dense(K_ff), K[np.ix_(free, free)])
         assert np.array_equal(rhs, load[free])
         assert not u.any()

@@ -437,6 +437,20 @@ class TestArgparseErrors:
         assert main(argv) == 2
         assert "error: argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, spec", [
+        ("--variants", "Q1_CG,Q1_CG"),
+        ("--p", "2,2"),
+        ("--refine", "1,1"),
+        # equal once parsed: pi/4 and 2pi/8 are the same float
+        ("--angles", "pi/4,2pi/8"),
+    ])
+    def test_repeated_list_value_is_rejected(self, flag, spec, tmp_path, capsys):
+        # each would write a duplicate row; nothing is written
+        out = tmp_path / "out.csv"
+        assert main(["cook", flag, spec, "--out", str(out)]) == 2
+        assert f"error: argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStrictOnAdmissibleInput:
     @pytest.mark.parametrize("argv", [

@@ -175,8 +175,9 @@ class TestLocalNodeLayout:
 
     def test_q2_connectivity_literal(self):
         mesh = rectangle_mesh(2.0, 1.0, 2, 1, order=2)
-        # 5 x 3 grid nodes numbered along x first
-        assert mesh.elements.tolist() == [
+        # node k is grid node order[k]; the 5 x 3 grid nodes numbered along x first
+        order = _dissection(4, 2, 2)
+        assert order[mesh.elements].tolist() == [
             [0, 2, 12, 10, 1, 7, 11, 5, 6],
             [2, 4, 14, 12, 3, 9, 13, 7, 8],
         ]
@@ -200,15 +201,16 @@ class TestLocalNodeLayout:
             assert np.allclose(mesh.nodes[nodes[:, 2]], ends)
 
 
-def dissection_cuts(mesh, nx):
-    """Read mesh.dissection as nested blocks of the node grid and return the
-    (first, second) halves of every cut.
+def dissection_cuts(order, mx, element_order):
+    """Read the order of an (my + 1) x (mx + 1) node grid as nested blocks and
+    return the (first, second) halves of every cut, as positions in the
+    order: a mesh's node k is grid node order[k], so these are its nodes.
 
     Each block of the order must hold a whole block of grid nodes and, if an
     interior grid line of element edges crosses it, end in a full such line,
     with the nodes on one side of the line before those on the other.
     """
-    row, col = np.divmod(mesh.dissection, nx * mesh.order + 1)
+    row, col = np.divmod(order, mx + 1)
     cuts = []
 
     def visit(seg):
@@ -216,7 +218,7 @@ def dissection_cuts(mesh, nx):
         extent = [(c.min(), c.max()) for c in coords]
         sizes = [hi - lo + 1 for lo, hi in extent]
         assert seg.size == sizes[0] * sizes[1]
-        lines = [{s for s in range(lo + 1, hi) if s % mesh.order == 0} for lo, hi in extent]
+        lines = [{s for s in range(lo + 1, hi) if s % element_order == 0} for lo, hi in extent]
         if not any(lines):
             return
         for axis in (0, 1):
@@ -226,13 +228,13 @@ def dissection_cuts(mesh, nx):
                 k = np.count_nonzero(c[:-across] < s)
                 assert np.all(c[:k] < s) and np.all(c[k:-across] > s)
                 first, second = seg[:k], seg[k:-across]
-                cuts.append((mesh.dissection[first], mesh.dissection[second]))
+                cuts.append((first, second))
                 visit(first)
                 visit(second)
                 return
         raise AssertionError(f"block {extent} does not end in a separating line")
 
-    visit(np.arange(mesh.n_nodes))
+    visit(np.arange(order.size))
     return cuts
 
 
@@ -265,6 +267,15 @@ def recursive_dissection(mx, my, order):
     return np.concatenate(parts)
 
 
+def assert_nodes_in_recursive_order(mesh, corners, mx, my):
+    """mesh.nodes are the (my + 1) x (mx + 1) row-major grid of the unit
+    square, mapped onto the quadrilateral `corners`, in the recursive order."""
+    s, t = np.meshgrid(np.linspace(0.0, 1.0, mx + 1), np.linspace(0.0, 1.0, my + 1))
+    grid = domain_map(corners, s.ravel(), t.ravel())
+    assert np.allclose(mesh.nodes, grid[recursive_dissection(mx, my, mesh.order)],
+                       rtol=0, atol=1e-12 * 60)
+
+
 class TestDissection:
     MESHES = [
         ("rectangle", 1, 1), ("rectangle", 5, 1), ("rectangle", 9, 1),
@@ -275,18 +286,31 @@ class TestDissection:
     @pytest.mark.parametrize("kind, nx, ny", MESHES)
     def test_cuts_separate_the_elements(self, kind, nx, ny, order):
         mesh = rectangle_mesh(10.0, 2.0, nx, ny, order) if kind == "rectangle" else cook_mesh(nx, order)
-        assert np.array_equal(np.sort(mesh.dissection), np.arange(mesh.n_nodes))
-        for first, second in dissection_cuts(mesh, nx):
+        grid_order = _dissection(nx * order, ny * order, order)
+        assert np.array_equal(np.sort(grid_order), np.arange(mesh.n_nodes))
+        for first, second in dissection_cuts(grid_order, nx * order, order):
             in_first = np.isin(mesh.elements, first).any(axis=1)
             in_second = np.isin(mesh.elements, second).any(axis=1)
             assert first.size and second.size
             assert not np.any(in_first & in_second)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["rectangle", "cook"])
+    def test_nodes_are_the_grid_nodes_in_dissection_order(self, kind, order):
+        if kind == "rectangle":
+            nx, ny = 5, 3
+            mesh = rectangle_mesh(8.0, 3.0, nx, ny, order)
+            corners = np.array([(0.0, -1.5), (8.0, -1.5), (8.0, 1.5), (0.0, 1.5)])
+        else:
+            nx = ny = 6
+            mesh, corners = cook_mesh(nx, order), COOK_CORNERS
+        assert_nodes_in_recursive_order(mesh, corners, nx * order, ny * order)
+
     def test_cut_follows_element_edges(self):
         # a Q2 element straddles every odd grid line, so a 2 x 1 Q2 grid is cut
         # only at its middle vertex column, and a 1 x 1 one not at all
-        assert rectangle_mesh(1.0, 1.0, 1, 1, order=2).dissection.tolist() == list(range(9))
-        assert rectangle_mesh(2.0, 1.0, 2, 1, order=2).dissection.tolist() == [
+        assert _dissection(2, 2, 2).tolist() == list(range(9))
+        assert _dissection(4, 2, 2).tolist() == [
             0, 1, 5, 6, 10, 11, 3, 4, 8, 9, 13, 14, 2, 7, 12,
         ]
 
@@ -305,5 +329,5 @@ class TestDissection:
     @pytest.mark.parametrize("n, order", [(128, 1), (64, 2)])
     def test_panel_grids_give_the_recursive_order(self, n, order):
         # the 129 x 129 node grids of the two large panel commands
-        mesh = cook_mesh(n, order)
-        assert np.array_equal(mesh.dissection, recursive_dissection(128, 128, order))
+        assert np.array_equal(_dissection(128, 128, order), recursive_dissection(128, 128, order))
+        assert_nodes_in_recursive_order(cook_mesh(n, order), COOK_CORNERS, 128, 128)

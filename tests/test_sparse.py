@@ -48,10 +48,21 @@ def oracle_pattern(elements, n_nodes):
             (2 * np.diff(ptr))[elements])
 
 
-def oracle_free_layout(indptr, indices, free):
-    """_free_layout as scipy's slice of the pattern valued by data position."""
+def pair_values(indptr, indices):
+    """Values of a symmetric K on the pattern, each entry its unordered
+    pair's own number: min(i, j) n + max(i, j) at (i, j)."""
     n = indptr.size - 1
-    P = sp.csr_matrix((np.arange(indices.size, dtype=np.int32), indices, indptr), shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    return np.minimum(rows, indices) * n + np.maximum(rows, indices)
+
+
+def oracle_free_layout(indptr, indices, free):
+    """_free_layout's arrays with take read as values, from scipy's slice of
+    the symmetric K of `pair_values`: _free_layout reads entry (i, j) of
+    K_FF from K's (j, i), so only the values of a symmetric K are exact, and
+    on this K every value names its pair."""
+    n = indptr.size - 1
+    P = sp.csr_matrix((pair_values(indptr, indices), indices, indptr), shape=(n, n))
     P = P[free][:, free].tocsc()
     return P.data, P.indices, P.indptr
 
@@ -78,12 +89,23 @@ def meshes(draw):
 
 
 def random_free(mesh, rng):
-    """The dofs node by node in the mesh's dissection order, each kept with a
-    drawn probability, at least one kept: a free set as solve takes it."""
-    dofs = (2 * mesh.dissection[:, None] + [0, 1]).ravel()
-    keep = rng.random(dofs.size) < rng.uniform(0.05, 1.0)
-    keep[rng.integers(dofs.size)] = True
-    return dofs[keep]
+    """The dofs in ascending number, each kept with a drawn probability, at
+    least one kept: a free set as solve takes it."""
+    keep = rng.random(2 * mesh.n_nodes) < rng.uniform(0.05, 1.0)
+    keep[rng.integers(keep.size)] = True
+    return np.flatnonzero(keep)
+
+
+def free_sets(mesh, rng):
+    """Free sets of every kind solve may take: random masks, every dof, the
+    interior nodes' dofs, one component of every node, and one dof."""
+    boundary = np.unique(np.concatenate([*map(np.asarray, mesh.boundary_nodes.values())]))
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), boundary)
+    sets = [random_free(mesh, rng), random_free(mesh, rng), np.arange(2 * mesh.n_nodes),
+            2 * np.arange(mesh.n_nodes) + rng.integers(2), rng.integers(2 * mesh.n_nodes, size=1)]
+    if interior.size:
+        sets.append((2 * interior[:, None] + [0, 1]).ravel())
+    return sets
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -92,9 +114,10 @@ def test_layouts_equal_scipys(drawn):
     mesh, rng = drawn
     pattern = _stiffness_pattern(mesh.elements, mesh.n_nodes)
     assert_same_arrays(pattern, oracle_pattern(mesh.elements, mesh.n_nodes))
-    for free in (random_free(mesh, rng), random_free(mesh, rng),
-                 (2 * mesh.dissection[:, None] + [0, 1]).ravel()):
-        assert_same_arrays(_free_layout(pattern.indptr, pattern.indices, free),
+    values = pair_values(pattern.indptr, pattern.indices)
+    for free in free_sets(mesh, rng):
+        take, indices, indptr = _free_layout(pattern.indptr, pattern.indices, free)
+        assert_same_arrays((values[take], indices, indptr),
                            oracle_free_layout(pattern.indptr, pattern.indices, free))
 
 
@@ -104,9 +127,15 @@ def constrained_system(mesh, rng, variant):
     mp = derive_parameters(sample_admissible(rng))
     system = assemble(mesh, mp, FibreFrame.from_angle(rng.uniform(0.0, math.pi)), variant,
                       tractions={"right": tuple(rng.uniform(-1.0, 1.0, 2))})
-    fixed = np.setdiff1d(np.arange(system.n_dofs), random_free(mesh, rng))
-    system.constrained.update(zip(fixed.tolist(), rng.uniform(-1.0, 1.0, fixed.size).tolist()))
+    hold(system, random_free(mesh, rng), rng)
     return system
+
+
+def hold(system, free, rng):
+    """Hold the dofs outside free at random values, and only those."""
+    fixed = np.setdiff1d(np.arange(system.n_dofs), free)
+    system.constrained.clear()
+    system.constrained.update(zip(fixed.tolist(), rng.uniform(-1.0, 1.0, fixed.size).tolist()))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -115,13 +144,16 @@ def test_mat_vecs_have_scipys_bits(drawn):
     mesh, rng = drawn
     variant = V.Q1_CG_UI_betalambda if mesh.order == 1 else V.Q2_CG
     system = constrained_system(mesh, rng, variant)
-    free, u, K_ff, rhs = _reduced(system)
     K = system.stiffness
-    assert rhs.tobytes() == (system.load - K @ u)[free].tobytes()
-    oracle = K[free][:, free].tocsc()
-    assert_same_arrays(K_ff, (oracle.data, oracle.indices, oracle.indptr))
-    x = rng.standard_normal(free.size)
-    assert (K_ff @ x).tobytes() == (oracle @ x).tobytes()
+    for free in free_sets(mesh, rng):
+        hold(system, free, rng)
+        got, u, K_ff, rhs = _reduced(system)
+        assert np.array_equal(got, free)
+        assert rhs.tobytes() == (system.load - K @ u)[free].tobytes()
+        oracle = K[free][:, free].tocsc()
+        assert_same_arrays(K_ff, (oracle.data, oracle.indices, oracle.indptr))
+        x = rng.standard_normal(free.size)
+        assert (K_ff @ x).tobytes() == (oracle @ x).tobytes()
 
 
 @pytest.mark.parametrize("variant", list(V))
@@ -142,7 +174,7 @@ def test_assembled_stiffness_is_symmetric_bit_for_bit(variant):
     # zero again in turn, and a nonzero pin inside
     lambda mesh: {**{2 * node + c: [0.0, 0.25, -0.0, 0.0, -1.5][(2 * k + c) % 5]
                      for k, node in enumerate(mesh.boundary_nodes["left"]) for c in (0, 1)},
-                  2 * mesh.dissection[mesh.n_nodes // 2] + 1: 0.125},
+                  2 * (mesh.n_nodes // 2) + 1: 0.125},
     lambda mesh: {2 * mesh.boundary_nodes["left"][1] + 1: -0.75},
 ], ids=["mixed-zero-and-nonzero", "one-fixed-dof"])
 @pytest.mark.parametrize("order", [1, 2])
