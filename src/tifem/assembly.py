@@ -26,9 +26,16 @@ storage order as scipy's does.  scipy is used for its SuperLU extension
 alone, loaded from its file (`_load_superlu`) so that no scipy.sparse module
 is imported, which would add about 0.2 s to every command's start.
 `_factorise` calls its `gstrf` with exactly the arguments that
-`scipy.sparse.linalg.splu` passes it.  `gstrf` is private to scipy: a
-release that moves the file or changes the call breaks every solve, which
-the oracle tests in tests/test_sparse.py then show against `splu`.
+`scipy.sparse.linalg.splu` passes it.  `solve` reads the pivots in place
+from the factor object's L, SuperLU's supernodal store (SCformat; Demmel,
+Eisenstat, Gilbert, Li and Liu, SIMAX 20, 1999), through `ctypes`, and never
+builds the CSC copies of L and U that the object's `L` and `U` serve.
+`gstrf` and that layout are private to scipy.  They were checked on scipy
+1.17.1; pyproject.toml asks for 1.15 or later, the oldest series the CI
+installs.  At import a 3 x 3 factorisation must give the pivots of its `U`
+bit for bit, so a release that moves the file, changes the call or changes
+the layout raises ImportError, and the oracle tests in tests/test_sparse.py
+check both against `splu`.
 
 Field functions (body force, tractions, Dirichlet data, exact solutions) are
 called once each as func(x, y) on coordinate arrays of quadrature points
@@ -44,6 +51,7 @@ integrates it once per mesh, so its field function is called once per mesh,
 not once per operator.
 """
 
+import ctypes
 import importlib.machinery
 import importlib.util
 from dataclasses import dataclass, field
@@ -203,6 +211,89 @@ def _factor_csc(arrays, shape):
     """SuperLU's arrays of L or U, their storage cut to the entries."""
     data, indices, indptr = arrays
     return CSC(data[: indptr[-1]], indices[: indptr[-1]], indptr)
+
+
+class _SuperMatrix(ctypes.Structure):
+    """SuperLU's SuperMatrix: storage, value and shape kinds, size, store."""
+    _fields_ = [("Stype", ctypes.c_int), ("Dtype", ctypes.c_int), ("Mtype", ctypes.c_int),
+                ("nrow", ctypes.c_int), ("ncol", ctypes.c_int), ("Store", ctypes.c_void_p)]
+
+
+class _SuperLUObject(ctypes.Structure):
+    """scipy's SuperLU object as its C struct lays it out."""
+    _fields_ = [("head", ctypes.c_char * object.__basicsize__),
+                ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("L", _SuperMatrix), ("U", _SuperMatrix),
+                ("perm_r", ctypes.c_void_p), ("perm_c", ctypes.c_void_p),
+                ("cached_U", ctypes.c_void_p), ("cached_L", ctypes.c_void_p),
+                ("csc_construct_func", ctypes.c_void_p), ("type", ctypes.c_int)]
+
+
+class _SCformat(ctypes.Structure):
+    """L's supernodal store.  Supernode s holds columns sup_to_col[s] to
+    sup_to_col[s + 1] - 1 as one dense block, column j's values from
+    nzval[nzval_colptr[j]], its rows rowind[rowind_colptr[sup_to_col[s]]:]
+    in P A's row order, the supernode's own columns first."""
+    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int), ("nzval", ctypes.c_void_p),
+                ("nzval_colptr", ctypes.c_void_p), ("rowind", ctypes.c_void_p),
+                ("rowind_colptr", ctypes.c_void_p), ("col_to_sup", ctypes.c_void_p),
+                ("sup_to_col", ctypes.c_void_p)]
+
+
+_SLU_SC, _SLU_D = 3, 1  # L's Stype and Dtype: supernodal, double
+
+
+def _view(address, count, ctype):
+    """The count ctype values at address, as numpy's view of that memory."""
+    return np.frombuffer((ctype * count).from_address(address), ctype)
+
+
+def _pivots(lu):
+    """A copy of the n pivots of a factor object of `_factorise`, read in
+    place: column j's pivot is entry j - sup_to_col[col_to_sup[j]] of its
+    column in L's store, the diagonal of its supernode's block, and its row
+    must read j.  The views into SuperLU's memory end with this call."""
+    obj = _SuperLUObject.from_address(id(lu))
+    n = obj.n
+    L = obj.L
+    store = _SCformat.from_address(L.Store)
+    # what the object also shows publicly (U's store, an NCformat, starts
+    # with its nnz), and L's kinds and size
+    if ((obj.m, n) != lu.shape or (L.Stype, L.Dtype, L.nrow, L.ncol) != (_SLU_SC, _SLU_D, n, n)
+            or store.nnz + ctypes.c_int.from_address(obj.U.Store).value != lu.nnz
+            or not np.array_equal(_view(obj.perm_r, n, ctypes.c_int), lu.perm_r)
+            or not np.array_equal(_view(obj.perm_c, n, ctypes.c_int), lu.perm_c)):
+        raise RuntimeError("SuperLU's factor object does not match its public attributes")
+    first = _view(store.sup_to_col, store.nsuper + 1, ctypes.c_int).take(
+        _view(store.col_to_sup, n, ctypes.c_int))
+    offset = np.arange(n, dtype=np.intc) - first
+    rowptr = _view(store.rowind_colptr, n + 1, ctypes.c_int)
+    rows = _view(store.rowind, rowptr[n], ctypes.c_int).take(rowptr.take(first) + offset)
+    if (rows != np.arange(n)).any():
+        raise RuntimeError("SuperLU's L has a column whose pivot is not on its diagonal")
+    at = _view(store.nzval_colptr, n + 1, ctypes.c_int)
+    return _view(store.nzval, at[n], ctypes.c_double).take(at[:n] + offset)
+
+
+def _check_pivot_layout():
+    """Raise ImportError unless `_pivots` reads this scipy's factors: the size
+    of its SuperLU object, and the pivots of a 3 x 3 bit for bit."""
+    lu = _factorise(CSC(np.array([4.0, 1.0, 1.0, 5.0, 2.0, 2.0, 6.0]),
+                        np.array([0, 1, 0, 1, 2, 1, 2], np.int32), np.array([0, 2, 5, 7], np.int32)))
+    U = lu.U
+    try:
+        same = (type(lu).__basicsize__ == ctypes.sizeof(_SuperLUObject)
+                and _pivots(lu).tobytes() == U.data.take(U.indptr[1:] - 1).tobytes())
+    except (RuntimeError, IndexError):
+        same = False
+    if not same:
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} lays out SuperLU's factors "
+                          "otherwise than tifem.assembly reads them")
+
+
+_check_pivot_layout()
 
 
 def _pattern(mesh):
@@ -413,18 +504,12 @@ def solve(system):
     residual = np.linalg.norm(r) / denom
     if residual > 1e-10:
         raise SingularSystem(f"backward error {residual} exceeds 1e-10")
-    del K_ff  # release K_FF's data before lu.U copies the factors
     # An exactly rank-deficient matrix can slip through factorisation with
     # roundoff-sized pivots; flag those explicitly.  With the rows in their
     # own order (perm_r the identity) the factorisation is a symmetric LDL^T,
-    # and the signs of the pivots are the inertia of K_ff.  U is upper
-    # triangular with its rows in order, so each column's pivot is its last
-    # stored entry.
-    U = lu.U
-    last = U.indptr[1:] - 1
-    if (U.indices.take(last) != np.arange(free.size)).any():
-        raise RuntimeError("SuperLU's U has a column that does not end on its diagonal")
-    pivots = U.data.take(last)
+    # and the signs of the pivots are the inertia of K_ff.  The pivots are
+    # read in place from L's supernodal store, without copying the factors.
+    pivots = _pivots(lu)
     size = np.abs(pivots)
     if size.min() <= 1e-13 * size.max():
         raise SingularSystem("factorisation produced a negligible pivot")

@@ -324,6 +324,39 @@ def test_criterion_8_error_bound_constant():
     verdict(8, ok, "error-bound constant dips and then grows with p")
 
 
+BOUND_LADDER = (1.0001, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1e3, 1e4)
+
+
+def test_criterion_8b_error_bound_predicts_locking():
+    # the a-priori constant C(p) against the conforming beam's computed error:
+    # both least at the same p (within one ladder step), the error monotone
+    # in C on each side of C's least, and the nx = 20 -> 40 rate >= 1 where
+    # C <= 30 (moderate anisotropy) and < 0.5 where C >= 3000 (locking)
+    cfg = BeamConfig(p_list=BOUND_LADDER, refine=(20, 40), variants=(V.Q1_CG,))
+    report = run_beam(cfg)
+    assert report.all_ok
+    C = [error_bound_constant(derive_parameters(
+        EngineeringConstants(cfg.E_t, p, cfg.q, cfg.nu_t, cfg.nu_l))) for p in BOUND_LADDER]
+    least = int(np.argmin(C))
+    sides = (range(least, -1, -1), range(least, len(C)))
+    ok = all(C[i] < C[j] for side in sides for i, j in zip(side, side[1:]))
+    detail = []
+    for n in cfg.refine:
+        err = [report.find("Q1_CG", p, PI4, n).h1_error for p in BOUND_LADDER]
+        ok &= abs(int(np.argmin(err)) - least) <= 1
+        ok &= all(err[i] < err[j] for side in sides for i, j in zip(side, side[1:]))
+        detail.append(f"nx={n} least error at p={BOUND_LADDER[int(np.argmin(err))]:g}")
+    rates = [report.find("Q1_CG", p, PI4, 40).rate for p in BOUND_LADDER]
+    moderate = [r for c, r in zip(C, rates) if c <= 30.0]
+    locked = [r for c, r in zip(C, rates) if c >= 3000.0]
+    ok &= min(moderate) >= 1.0 and max(locked) < 0.5
+    verdict(
+        "8b", ok,
+        f"error-bound constant least at p={BOUND_LADDER[least]:g}, {', '.join(detail)}; "
+        f"Q1_CG rate {min(moderate):.2f} >= 1 where C <= 30, {max(locked):.2f} < 0.5 where C >= 3000",
+    )
+
+
 def test_criterion_9_cli_determinism(tmp_path):
     ok = True
     runs = {

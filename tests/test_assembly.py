@@ -557,6 +557,40 @@ class TestIndefiniteSystem:
                     solve(system)
 
 
+def test_solve_never_copies_the_factors(monkeypatch):
+    # solve reads the pivots in place: with factors whose L and U raise when
+    # read, a positive definite K_FF still solves and an indefinite one is
+    # still refused with its inertia
+    factorise = tifem.assembly._factorise
+
+    def unreadable(arrays, shape):
+        raise AssertionError("solve read lu.L or lu.U")
+
+    def factorise_unreadable(K_ff):
+        with monkeypatch.context() as m:
+            m.setattr(tifem.assembly, "_factor_csc", unreadable)
+            return factorise(K_ff)
+
+    monkeypatch.setattr(tifem.assembly, "_factorise", factorise_unreadable)
+    mesh = cook_mesh(8, 1)
+    for variant in (V.Q1_CG, V.Q1_CG_UI_lambda):
+        system = assemble(mesh, derive_parameters(TestIndefiniteSystem.EC), FRAME0, variant,
+                          tractions={"right": (0.0, 6.25)})
+        apply_dirichlet(system, {"left": (0.0, 0.0)})
+        K_ff = _reduced(system)[2]
+        lu = factorise_unreadable(K_ff)
+        for name in ("L", "U"):
+            with pytest.raises(AssertionError, match="read lu.L or lu.U"):
+                getattr(lu, name)
+        negative = np.count_nonzero(np.linalg.eigvalsh(dense(K_ff)) < 0)
+        if variant is V.Q1_CG:
+            assert negative == 0
+            solve(system)
+        else:
+            with pytest.raises(IndefiniteSystem, match=f"^K_ff is not positive definite: {negative} negative pivots$"):
+                solve(system)
+
+
 class TestContracts:
     """The patch test, theta = theta + pi, the scaling in E_t, and rotation
     and mirror covariance, for all six variants on distorted panels with

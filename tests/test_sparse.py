@@ -2,11 +2,14 @@
 scipy.sparse code they replace.
 
 `tifem.assembly` builds K's pattern and K_FF's layout with numpy and calls
-the `gstrf` of scipy's private SuperLU extension itself.  The scipy.sparse
-forms are kept here as oracles: every layout array must come out the same,
-dtype included, every mat-vec the same bits, and the factorisation the same
-solution, factors and row order as `scipy.sparse.linalg.splu`'s.  A scipy
-release that changes gstrf's call or how it stores the factors fails here.
+the `gstrf` of scipy's private SuperLU extension itself, whose pivots it
+reads in place from SuperLU's own storage.  The scipy.sparse forms are kept
+here as oracles: every layout array must come out the same, dtype included,
+every mat-vec the same bits, the factorisation the same solution, factors
+and row order as `scipy.sparse.linalg.splu`'s, and the pivots read in place
+the same bits as the last stored entry of each column of the object's U.  A
+scipy release that changes gstrf's call or how it stores the factors fails
+here.
 """
 
 import math
@@ -27,7 +30,8 @@ from tifem import (
     derive_parameters,
     rectangle_mesh,
 )
-from tifem.assembly import CSC, _factorise, _free_layout, _reduced, _stiffness_pattern
+import tifem.assembly
+from tifem.assembly import CSC, _factorise, _free_layout, _pivots, _reduced, _stiffness_pattern
 from conftest import dense, distorted_cook_mesh, sample_admissible
 
 V = FormulationVariant
@@ -219,9 +223,11 @@ def test_factorisation_equals_splus(drawn, variant):
     assert np.array_equal(lu.perm_c, expected.perm_c)
     for got, want in ((lu.L, expected.L), (lu.U, expected.U)):
         assert_same_arrays(got, (want.data[: want.nnz], want.indices[: want.nnz], want.indptr))
-    # solve reads each pivot as the last stored entry of its U column
+    # the pivots solve reads in place are the last stored entry of each U
+    # column, U's diagonal
     last = lu.U.indptr[1:] - 1
     assert np.array_equal(lu.U.indices[last], np.arange(last.size))
+    assert _pivots(lu).tobytes() == lu.U.data[last].tobytes()
     assert lu.U.data[last].tobytes() == expected.U.diagonal().tobytes()
 
 
@@ -237,6 +243,32 @@ def test_hand_factors():
     assert np.allclose(np.diag(U), [4.0, 4.75, 6.0 - 4.0 / 4.75], rtol=1e-15, atol=0.0)
     assert np.allclose(L @ U, A, rtol=1e-15, atol=1e-15)
     assert np.array_equal(lu.U.indices[lu.U.indptr[1:] - 1], [0, 1, 2])
+    assert _pivots(lu).tobytes() == lu.U.data[lu.U.indptr[1:] - 1].tobytes()
+
+
+def test_off_diagonal_pivots():
+    # [[0, 1], [1, 0]] factorises only with its rows swapped; L's store holds
+    # each pivot on the diagonal of P A, as U does
+    lu = _factorise(CSC(np.array([1.0, 1.0]), np.array([1, 0], np.int32),
+                        np.array([0, 1, 2], np.int32)))
+    assert np.array_equal(lu.perm_r, [1, 0])
+    assert np.array_equal(lu.U.indices[lu.U.indptr[1:] - 1], [0, 1])
+    assert _pivots(lu).tobytes() == lu.U.data[lu.U.indptr[1:] - 1].tobytes()
+    assert np.array_equal(_pivots(lu), [1.0, 1.0])
+
+
+def misread_layout(lu):
+    raise RuntimeError("SuperLU's L has a column whose pivot is not on its diagonal")
+
+
+@pytest.mark.parametrize("misread", [lambda lu: -_pivots(lu), lambda lu: _pivots(lu)[::-1],
+                                     misread_layout], ids=["sign", "order", "layout"])
+def test_import_check_refuses_a_misread(monkeypatch, misread):
+    # a scipy whose factors _pivots misreads is refused when tifem is imported
+    tifem.assembly._check_pivot_layout()
+    monkeypatch.setattr(tifem.assembly, "_pivots", misread)
+    with pytest.raises(ImportError, match=r"^scipy \S+ lays out SuperLU's factors otherwise"):
+        tifem.assembly._check_pivot_layout()
 
 
 @pytest.mark.parametrize("n, variant, fill", [(64, V.Q2_CG, 4_216_544),
