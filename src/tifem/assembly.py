@@ -16,20 +16,32 @@ cache (`QuadMesh.cached`).  `_pattern` is the CSR pattern of K and where
 every element-matrix entry goes in its data, so K is one bincount of the
 element matrices over each entry's slot, with nothing sorted per assembly.
 `_free_layout` is, for each set F solved for, the CSC layout of K_FF as a
-gather of K's data: K's exact symmetry makes K's rows of F, cut to F's
-columns, K_FF's columns.  A LinearSystem holds K's values on its mesh's
-pattern, so every K and K_FF of a mesh takes this one path.
+boolean mask over K's data: K's exact symmetry makes K's rows of F, cut to
+F's columns, K_FF's columns, so K_FF's data is K's data where the mask holds,
+in K's order.  A LinearSystem holds K's values on its mesh's pattern, so
+every K and K_FF of a mesh takes this one path.
 
 Both layouts and every mat-vec are numpy, and give the arrays and the bits
-that scipy.sparse gives: a mat-vec is a bincount, which sums each entry in
-storage order as scipy's does.  scipy is used for its SuperLU extension
-alone, loaded from its file (`_load_superlu`) so that no scipy.sparse module
-is imported, which would add about 0.2 s to every command's start.
-`_factorise` calls its `gstrf` with exactly the arguments that
-`scipy.sparse.linalg.splu` passes it.  `solve` reads the pivots in place
-from the factor object's L, SuperLU's supernodal store (SCformat; Demmel,
-Eisenstat, Gilbert, Li and Liu, SIMAX 20, 1999), through `ctypes`, and never
-builds the CSC copies of L and U that the object's `L` and `U` serve.
+that scipy.sparse gives.  K_FF's mat-vec and its norm ||K_FF||_inf go over
+blocks of columns of about 2^16 stored entries (`_column_blocks`), so that
+no temporary of theirs is as long as K_FF's data: each adds its terms into
+the rows with np.add.at, unbuffered and in storage order, so every row sums
+them in the order of scipy's CSC mat-vec.  scipy is used for its SuperLU
+extension alone, loaded from its file (`_load_superlu`) so that no
+scipy.sparse module is imported, which would add about 0.2 s to every
+command's start.  `_factorise` calls its `gstrf` with exactly the arguments
+that scipy.sparse.linalg.splu(K_FF, permc_spec="NATURAL",
+diag_pivot_thresh=0.0, panel_size=2, options=dict(SymmetricMode=True))
+passes it.  gstrf's panel workspace is n x width, and 72% of the
+supernodes of the panels' nested-dissection order are one or two columns
+wide, so a width of 2 in place of the compiled default 20 saves memory and
+moves the solution at roundoff only.  Above 20, scipy 1.17.1's SuperLU
+corrupts the heap, so a test holds the width at most 20.  The solve's memory
+is then the factors' and K_FF's.  `solve` reads the pivots in place from the
+factor object's L, SuperLU's supernodal store (SCformat; Demmel, Eisenstat,
+Gilbert, Li and Liu, SIMAX 20, 1999), through `ctypes` and numpy views of
+its arrays, and never builds the CSC copies of L and U that the object's `L`
+and `U` serve.
 `gstrf` and that layout are private to scipy.  They were checked on scipy
 1.17.1; pyproject.toml asks for 1.15 or later, the oldest series the CI
 installs.  At import a 3 x 3 factorisation must give the pivots of its `U`
@@ -93,11 +105,29 @@ class CSC(NamedTuple):
         return int(self.indptr[-1])
 
     def __matmul__(self, x):
-        """The product with a vector, each entry summed in storage order:
-        the bits of scipy's CSC mat-vec."""
-        terms = np.repeat(x, np.diff(self.indptr))
-        np.multiply(terms, self.data, out=terms)
-        return np.bincount(self.indices, terms, x.size)
+        """The product with a vector, with the bits of scipy's CSC mat-vec:
+        each entry adds its terms in storage order, column block by column
+        block (`_column_blocks`), so no temporary has the data's length.
+        np.add.at adds them unbuffered, in the order given."""
+        y = np.zeros(x.size)
+        for c0, c1, p0, p1 in _column_blocks(self.indptr):
+            terms = np.repeat(x[c0:c1], np.diff(self.indptr[c0 : c1 + 1]))
+            np.multiply(terms, self.data[p0:p1], out=terms)
+            np.add.at(y, self.indices[p0:p1], terms)
+        return y
+
+
+_BLOCK = 1 << 16  # stored entries in a column block of a mat-vec or norm
+
+
+def _column_blocks(indptr):
+    """(c0, c1, p0, p1) for consecutive blocks of a CSC's columns, columns c0
+    to c1 - 1 holding entries p0 to p1 - 1: each block starts at the first
+    column at or past a multiple of _BLOCK in the data."""
+    cuts = np.searchsorted(indptr, np.arange(_BLOCK, indptr[-1], _BLOCK)).tolist()
+    bounds = list(dict.fromkeys([0, *cuts, indptr.size - 1]))  # ascending, without repeats
+    starts = indptr.take(bounds).tolist()
+    return zip(bounds[:-1], bounds[1:], starts[:-1], starts[1:])
 
 
 class StiffnessPattern(NamedTuple):
@@ -160,21 +190,20 @@ def _stiffness_pattern(elements, n_nodes):
 
 
 def _free_layout(indptr, indices, free):
-    """K_FF = K[free][:, free] in CSC, scipy's arrays, as (take, indices,
-    indptr) with data K.data[take], for ascending free and every K on this
+    """K_FF = K[free][:, free] in CSC, scipy's arrays, as (keep, indices,
+    indptr) with data K.data[keep], for ascending free and every K on this
     CSR pattern that is symmetric bit for bit: K_FF's column of free dof j is
-    K's row j cut to the free columns, entry (i, j) read from K's (j, i)."""
+    K's row j cut to the free columns, entry (i, j) read from K's (j, i).
+    keep is a boolean mask over K's data, true on the entries whose row and
+    column are both free, which it keeps in their storage order."""
     index = np.full(indptr.size - 1, -1, np.int32)
     index[free] = np.arange(free.size, dtype=np.int32)
-    start = indptr.take(free)
-    count = indptr.take(free + 1) - start
-    ends = np.cumsum(count, dtype=np.int32)
-    at = np.arange(ends[-1], dtype=np.int32) + np.repeat(start - ends + count, count)
-    rows = index.take(indices.take(at))
-    kept = rows >= 0
+    is_free = index >= 0
+    keep = np.repeat(is_free, np.diff(indptr))
+    keep &= is_free.take(indices)
     ptr = np.zeros(free.size + 1, np.int32)
-    ptr[1:] = np.cumsum(kept, dtype=np.int32).take(ends - 1)
-    return at[kept], rows[kept], ptr
+    ptr[1:] = np.cumsum(keep, dtype=np.int32).take(indptr.take(free + 1) - 1)
+    return keep, index.take(indices[keep]), ptr
 
 
 def _load_superlu():
@@ -195,8 +224,9 @@ def _load_superlu():
 
 _superlu = _load_superlu()
 # the options scipy.sparse.linalg.splu(A, permc_spec="NATURAL",
-# diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)) passes to gstrf
-_SPLU_OPTIONS = dict(DiagPivotThresh=0.0, ColPerm="NATURAL", PanelSize=None, Relax=None,
+# diag_pivot_thresh=0.0, panel_size=2, options=dict(SymmetricMode=True))
+# passes to gstrf; PanelSize stays at most 20 (see the module docstring)
+_SPLU_OPTIONS = dict(DiagPivotThresh=0.0, ColPerm="NATURAL", PanelSize=2, Relax=None,
                      SymmetricMode=True)
 
 
@@ -243,9 +273,22 @@ class _SCformat(ctypes.Structure):
 _SLU_SC, _SLU_D = 3, 1  # L's Stype and Dtype: supernodal, double
 
 
-def _view(address, count, ctype):
-    """The count ctype values at address, as numpy's view of that memory."""
-    return np.frombuffer((ctype * count).from_address(address), ctype)
+class _Memory:
+    """count values of a numpy type at an address, described to numpy by its
+    array interface, read-only: numpy takes the type as given, where a ctypes
+    array type would have it infer one in Python on every view."""
+
+    def __init__(self, address, count, typestr):
+        self.__array_interface__ = dict(data=(address, True), shape=(count,), typestr=typestr,
+                                        version=3)
+
+
+_INT, _DOUBLE = np.dtype(np.intc).str, np.dtype(np.double).str  # C int, double
+
+
+def _view(address, count, typestr):
+    """The count typestr values at address, as numpy's view of that memory."""
+    return np.asarray(_Memory(address, count, typestr))
 
 
 def _pivots(lu):
@@ -261,18 +304,18 @@ def _pivots(lu):
     # with its nnz), and L's kinds and size
     if ((obj.m, n) != lu.shape or (L.Stype, L.Dtype, L.nrow, L.ncol) != (_SLU_SC, _SLU_D, n, n)
             or store.nnz + ctypes.c_int.from_address(obj.U.Store).value != lu.nnz
-            or not np.array_equal(_view(obj.perm_r, n, ctypes.c_int), lu.perm_r)
-            or not np.array_equal(_view(obj.perm_c, n, ctypes.c_int), lu.perm_c)):
+            or not np.array_equal(_view(obj.perm_r, n, _INT), lu.perm_r)
+            or not np.array_equal(_view(obj.perm_c, n, _INT), lu.perm_c)):
         raise RuntimeError("SuperLU's factor object does not match its public attributes")
-    first = _view(store.sup_to_col, store.nsuper + 1, ctypes.c_int).take(
-        _view(store.col_to_sup, n, ctypes.c_int))
+    first = _view(store.sup_to_col, store.nsuper + 1, _INT).take(
+        _view(store.col_to_sup, n, _INT))
     offset = np.arange(n, dtype=np.intc) - first
-    rowptr = _view(store.rowind_colptr, n + 1, ctypes.c_int)
-    rows = _view(store.rowind, rowptr[n], ctypes.c_int).take(rowptr.take(first) + offset)
+    rowptr = _view(store.rowind_colptr, n + 1, _INT)
+    rows = _view(store.rowind, rowptr[n], _INT).take(rowptr.take(first) + offset)
     if (rows != np.arange(n)).any():
         raise RuntimeError("SuperLU's L has a column whose pivot is not on its diagonal")
-    at = _view(store.nzval_colptr, n + 1, ctypes.c_int)
-    return _view(store.nzval, at[n], ctypes.c_double).take(at[:n] + offset)
+    at = _view(store.nzval_colptr, n + 1, _INT)
+    return _view(store.nzval, at[n], _DOUBLE).take(at[:n] + offset)
 
 
 def _check_pivot_layout():
@@ -457,9 +500,9 @@ def _reduced(system):
         return free, u, None, None
     mesh = system.mesh
     pattern = _pattern(mesh)
-    take, indices, indptr = mesh.cached(
+    keep, indices, indptr = mesh.cached(
         ("free layout", free.tobytes()), lambda: _free_layout(pattern.indptr, pattern.indices, free))
-    K_ff = CSC(system.data[take], indices, indptr)
+    K_ff = CSC(system.data[keep], indices, indptr)
     f = system.load
     if values.any():  # else K u = 0 and rhs = f_F
         # K u from the rows of the dofs j where u_j != 0, in ascending j.  K
@@ -526,8 +569,13 @@ def solve(system):
 
 
 def _norm_inf(A):
-    """Infinity norm (largest absolute row sum) of a CSC, from its arrays."""
-    return np.bincount(A.indices, np.abs(A.data), A.indptr.size - 1).max()
+    """Infinity norm (largest absolute row sum) of any square CSC, from its
+    arrays.  Each row sum adds its entries in storage order, block by block
+    of `_column_blocks`, so no temporary has the data's length."""
+    sums = np.zeros(A.indptr.size - 1)
+    for _, _, p0, p1 in _column_blocks(A.indptr):
+        np.add.at(sums, A.indices[p0:p1], np.abs(A.data[p0:p1]))
+    return sums.max()
 
 
 def _error_rule(mesh):

@@ -13,6 +13,7 @@ here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,10 @@ from tifem import (
     rectangle_mesh,
 )
 import tifem.assembly
-from tifem.assembly import CSC, _factorise, _free_layout, _pivots, _reduced, _stiffness_pattern
+from tifem.assembly import (
+    _BLOCK, CSC, _column_blocks, _factorise, _free_layout, _norm_inf, _pivots, _reduced,
+    _stiffness_pattern,
+)
 from conftest import dense, distorted_cook_mesh, sample_admissible
 
 V = FormulationVariant
@@ -61,7 +65,7 @@ def pair_values(indptr, indices):
 
 
 def oracle_free_layout(indptr, indices, free):
-    """_free_layout's arrays with take read as values, from scipy's slice of
+    """_free_layout's arrays with keep read as values, from scipy's slice of
     the symmetric K of `pair_values`: _free_layout reads entry (i, j) of
     K_FF from K's (j, i), so only the values of a symmetric K are exact, and
     on this K every value names its pair."""
@@ -120,8 +124,10 @@ def test_layouts_equal_scipys(drawn):
     assert_same_arrays(pattern, oracle_pattern(mesh.elements, mesh.n_nodes))
     values = pair_values(pattern.indptr, pattern.indices)
     for free in free_sets(mesh, rng):
-        take, indices, indptr = _free_layout(pattern.indptr, pattern.indices, free)
-        assert_same_arrays((values[take], indices, indptr),
+        keep, indices, indptr = _free_layout(pattern.indptr, pattern.indices, free)
+        # a mask over K's data, which keeps K_FF's entries in K's order
+        assert keep.dtype == bool and keep.shape == values.shape
+        assert_same_arrays((values[keep], indices, indptr),
                            oracle_free_layout(pattern.indptr, pattern.indices, free))
 
 
@@ -196,10 +202,20 @@ def test_rhs_from_the_fixed_rows_has_scipys_bits(prescribed, order):
 
 
 def splu(K_ff):
-    """What solve factorised before it called gstrf itself."""
+    """What solve factorised before it called gstrf itself, at its panel width."""
     A = sp.csc_matrix(K_ff, shape=(K_ff.indptr.size - 1,) * 2)
     return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     panel_size=tifem.assembly._SPLU_OPTIONS["PanelSize"],
                      options=dict(SymmetricMode=True))
+
+
+def test_panel_width_is_at_most_the_compiled_default():
+    # gstrf factorises panels of PanelSize columns.  Above SuperLU's
+    # compiled default of 20, scipy 1.17.1's SuperLU corrupts the heap: splu
+    # at panel_size=32 on the Q2 n=64 panel's K_FF aborts with "munmap_chunk():
+    # invalid pointer" under MALLOC_CHECK_=3, where widths 1 to 20 run clean
+    width = tifem.assembly._SPLU_OPTIONS["PanelSize"]
+    assert isinstance(width, int) and 1 <= width <= 20
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -271,16 +287,72 @@ def test_import_check_refuses_a_misread(monkeypatch, misread):
         tifem.assembly._check_pivot_layout()
 
 
+def panel_K_ff(n, variant):
+    """K_FF of the Cook panel at p = 1e4 as the panel_large commands solve it."""
+    mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.3, 0.3))
+    system = assemble(cook_mesh(n, variant.order), mp, FibreFrame.from_angle(math.pi / 3), variant,
+                      tractions={"right": (0.0, 6.25)})
+    apply_dirichlet(system, {"left": (0.0, 0.0)})
+    return _reduced(system)[2]
+
+
 @pytest.mark.parametrize("n, variant, fill", [(64, V.Q2_CG, 4_216_544),
                                               (128, V.Q1_CG_UI_betalambda, 4_228_560)])
 def test_panel_lu_fill(n, variant, fill):
     # the two panel_large factorisations, 8,445,104 L + U nonzeros together:
     # the nested-dissection order's fill, which depends on the pattern alone
-    mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.3, 0.3))
-    system = assemble(cook_mesh(n, variant.order), mp, FibreFrame.from_angle(math.pi / 3), variant,
-                      tractions={"right": (0.0, 6.25)})
-    apply_dirichlet(system, {"left": (0.0, 0.0)})
-    _, _, K_ff, _ = _reduced(system)
-    lu = _factorise(K_ff)
+    lu = _factorise(panel_K_ff(n, variant))
     assert lu.L.nnz + lu.U.nnz == fill
+
+
+def row_sum_norm(A):
+    """The largest absolute row sum, each row summed in storage order over
+    all of the data at once."""
+    return np.bincount(A.indices, np.abs(A.data), A.indptr.size - 1).max()
+
+
+@pytest.mark.parametrize("n, variant, several", [(32, V.Q2_CG, True), (4, V.Q1_CG, False)])
+def test_blocked_mat_vec_and_norm(n, variant, several):
+    # the Q2 n=32 panel's K_FF spans several column blocks, the Q1 n=4 one
+    # fits in one
+    K_ff = panel_K_ff(n, variant)
+    blocks = len(list(_column_blocks(K_ff.indptr)))
+    assert blocks > 2 if several else blocks == 1
+    A = sp.csc_matrix(K_ff, shape=(K_ff.indptr.size - 1,) * 2)
+    x = np.random.default_rng(3).standard_normal(A.shape[0])
+    assert (K_ff @ x).tobytes() == (A @ x).tobytes()
+    assert _norm_inf(K_ff) == row_sum_norm(K_ff)
+    assert _norm_inf(K_ff) == pytest.approx(spla.norm(A, np.inf), rel=1e-15, abs=0.0)
+
+
+def test_blocked_mat_vec_and_norm_of_a_non_symmetric_matrix():
+    # five column blocks of a matrix whose rows and columns differ: the
+    # product and the norm sum rows, not columns, across the blocks
+    A = sp.random(3000, 3000, density=0.03, format="csc", random_state=2)
+    A.data -= 0.5
+    assert len(list(_column_blocks(A.indptr))) == 5
+    x = np.random.default_rng(5).standard_normal(3000)
+    assert (CSC(A.data, A.indices, A.indptr) @ x).tobytes() == (A @ x).tobytes()
+    assert row_sum_norm(A) != row_sum_norm(A.T.tocsc())
+    assert _norm_inf(A) == row_sum_norm(A)
+    # scipy sums each row in another order; some 90 terms a row
+    assert _norm_inf(A) == pytest.approx(spla.norm(A, np.inf), rel=1e-14, abs=0.0)
+
+
+def test_mat_vec_and_norm_memory_is_bounded_by_the_block():
+    # the Q2 n=64 panel's K_FF holds 8.3 MB of data; a mat-vec or a norm
+    # makes temporaries of one column block at a time: at most four 8-byte
+    # arrays of a block's length, besides the result and the row sums
+    K_ff = panel_K_ff(64, V.Q2_CG)
+    x = np.random.default_rng(4).standard_normal(K_ff.indptr.size - 1)
+    bound = 4 * 8 * _BLOCK + 2 * x.nbytes
+    assert bound < K_ff.data.nbytes / 3
+    for product in (lambda: K_ff @ x, lambda: _norm_inf(K_ff)):
+        tracemalloc.start()
+        try:
+            product()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
