@@ -13,13 +13,24 @@ This module alone builds, slices and factorises sparse matrices, and does
 their bookkeeping once per mesh, not per assembly (George and Liu, Computer
 Solution of Large Sparse Positive Definite Systems, 1981), in the mesh's
 cache (`QuadMesh.cached`).  `_pattern` is the CSR pattern of K and where
-every element-matrix entry goes in its data, so K is one bincount of the
-element matrices over each entry's slot, with nothing sorted per assembly.
+every element-matrix entry goes in its data, so K is accumulated chunk by
+chunk of elements (`elements.element_chunks`, about 2^16 matrix entries
+each): each chunk's element matrices are added into K's data at their
+entries' slots with np.add.at, unbuffered and in element order, the order in
+which one bincount of all of them would add them, with nothing sorted per
+assembly and no temporary the length of the mesh's element matrices.
 `_free_layout` is, for each set F solved for, the CSC layout of K_FF as a
 boolean mask over K's data: K's exact symmetry makes K's rows of F, cut to
 F's columns, K_FF's columns, so K_FF's data is K's data where the mask holds,
 in K's order.  A LinearSystem holds K's values on its mesh's pattern, so
 every K and K_FF of a mesh takes this one path.
+
+Elimination (`eliminate`) cuts K_FF and rhs from a system, and `solve`
+factorises what it gives, eliminating a system first.  A sweep eliminates
+each system before its solve and drops it, so K's values are not alive at
+the factorisation, and before the last factorisation on a mesh it drops
+the mesh's moments, pattern and K_FF layouts too (`release`), so that the
+factorisation's memory is its factors' and K_FF's.
 
 Both layouts and every mat-vec are numpy, and give the arrays and the bits
 that scipy.sparse gives.  K_FF's mat-vec and its norm ||K_FF||_inf go over
@@ -75,8 +86,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .elements import (
-    FormulationVariant, _interpolate, _lagrange_1d, gauss_rule_1d, geometry, moments,
-    stiffness_blocks,
+    _BLOCK, FormulationVariant, _interpolate, _lagrange_1d, element_chunks, gauss_rule_1d,
+    geometry, gradient_coefficients, moments, stiffness_blocks,
 )
 
 
@@ -117,9 +128,6 @@ class CSC(NamedTuple):
         return y
 
 
-_BLOCK = 1 << 16  # stored entries in a column block of a mat-vec or norm
-
-
 def _column_blocks(indptr):
     """(c0, c1, p0, p1) for consecutive blocks of a CSC's columns, columns c0
     to c1 - 1 holding entries p0 to p1 - 1: each block starts at the first
@@ -139,13 +147,15 @@ class StiffnessPattern(NamedTuple):
     block: np.ndarray            # (E, n, n) int32 data index of each node pair's entry (2i, 2j)
     step: np.ndarray             # (E, n) int32 data distance from dof row 2i to row 2i + 1
 
-    def slots(self):
-        """(2, 2, E, n, n) index into the data of every element-matrix entry:
-        [a, b, e, l, m] holds that of entry (2l + a, 2m + b) of element e.
-        It is built as np.intp, the index type np.bincount would convert it to."""
-        slot = np.empty((2, 2) + self.block.shape, np.intp)
-        slot[0, 0] = self.block
-        slot[1, 0] = self.block + self.step[:, :, None]
+    def slots(self, e0, e1):
+        """(2, 2, e1 - e0, n, n) index into the data of every element-matrix
+        entry of elements e0 to e1 - 1: [a, b, e, l, m] holds that of entry
+        (2l + a, 2m + b) of element e0 + e.  It is built as np.intp, the
+        index type np.add.at would convert it to."""
+        block = self.block[e0:e1]
+        slot = np.empty((2, 2) + block.shape, np.intp)
+        slot[0, 0] = block
+        slot[1, 0] = block + self.step[e0:e1, :, None]
         slot[:, 1] = slot[:, 0] + 1
         return slot
 
@@ -161,7 +171,8 @@ def _stiffness_pattern(elements, n_nodes):
     4 ptr[i] + 2 a deg[i] into the data and holds node row i's columns j as
     2j, 2j + 1, and a node pair at s - ptr[i] into its row sits at twice
     that into each of its dof rows.  Only the node-pair index is kept per
-    element entry; `slots` expands it to the dofs for each assembly.
+    element entry; `slots` expands it to the dofs, chunk by chunk of
+    elements, for each assembly.
     """
     E, n = elements.shape
     itype = np.int32 if n_nodes * n_nodes < 2**31 else np.int64
@@ -441,14 +452,19 @@ def load_vector(mesh, body_force=None, tractions=None):
 def assemble(mesh, mp, frame, variant, body_force=None, tractions=None):
     """Assemble the global stiffness and load for one formulation variant.
 
-    The load is `load_vector(mesh, body_force, tractions)`.
+    K's values are accumulated over chunks of elements (see the module
+    docstring).  The load is `load_vector(mesh, body_force, tractions)`.
     """
     if variant.order != mesh.order:
         raise ValueError(f"{variant.value} needs an order-{variant.order} mesh")
     sets = mesh.cached("moments", lambda: moments(mesh.nodes[mesh.elements], mesh.order))
-    Ke = stiffness_blocks(mp, frame, variant, *sets)
     pattern = _pattern(mesh)
-    data = np.bincount(pattern.slots().ravel(), Ke.ravel(), pattern.indices.size)
+    coefficients = gradient_coefficients(mp, frame, variant)
+    data = np.zeros(pattern.indices.size)
+    for e0, e1 in element_chunks(*mesh.elements.shape):
+        Ke = stiffness_blocks(coefficients, *(M[:, e0:e1] for M in sets))
+        # flat: np.add.at takes its fast path on one-dimensional operands only
+        np.add.at(data, pattern.slots(e0, e1).ravel(), Ke.ravel())
     return LinearSystem(data=data, load=load_vector(mesh, body_force, tractions), mesh=mesh,
                         variant=variant, frame=frame)
 
@@ -485,9 +501,19 @@ def apply_dirichlet(system, bcs=None, node_constraints=()):
     return system
 
 
-def _reduced(system):
-    """Free dofs F, u holding the prescribed values (zero on F), and K_FF
-    (a CSC) and rhs = (f - K u)_F of the eliminated system."""
+class Eliminated(NamedTuple):
+    """A system with its Dirichlet constraints eliminated: its free dofs F, u
+    holding the prescribed values (zero on F), K_FF and rhs = (f - K u)_F,
+    and its mesh.  It holds neither K's values nor the system."""
+    free: np.ndarray
+    u: np.ndarray
+    K_ff: object                 # CSC, or None if no dof is free
+    rhs: object                  # (F,) array, or None if no dof is free
+    mesh: object
+
+
+def eliminate(system):
+    """The system with its Dirichlet constraints eliminated, an Eliminated."""
     constrained = system.constrained
     fixed = np.fromiter(constrained, np.intp, len(constrained))
     values = np.fromiter(constrained.values(), float, len(constrained))
@@ -496,9 +522,9 @@ def _reduced(system):
     mask = np.ones(system.n_dofs, dtype=bool)
     mask[fixed] = False
     free = np.flatnonzero(mask)
-    if free.size == 0:
-        return free, u, None, None
     mesh = system.mesh
+    if free.size == 0:
+        return Eliminated(free, u, None, None, mesh)
     pattern = _pattern(mesh)
     keep, indices, indptr = mesh.cached(
         ("free layout", free.tobytes()), lambda: _free_layout(pattern.indptr, pattern.indices, free))
@@ -515,20 +541,29 @@ def _reduced(system):
         at = np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
         terms = system.data.take(at) * np.repeat(u.take(nonzero), count)
         f = f - np.bincount(pattern.indices.take(at), terms, system.n_dofs)
-    return free, u, K_ff, f[free]
+    return Eliminated(free, u, K_ff, f[free], mesh)
+
+
+def release(mesh):
+    """Drop from the mesh's cache what only assembly and elimination read:
+    its moments, its pattern and its K_FF layouts.  Each is built again on
+    its next use."""
+    mesh.forget("moments", "pattern", "free layout")
 
 
 def solve(system):
     """Direct sparse solve with symmetric elimination of constrained dofs.
 
+    system is a LinearSystem, which is eliminated first, or an Eliminated.
     K_ff must be SPD: SuperLU factorises it with diagonal pivots in the
     order of the free dofs, the mesh's elimination order.
     Other input raises SingularSystem, IndefiniteSystem if a pivot shows K_ff
     is not positive definite, or returns a solution the checks below
     verified."""
-    free, u, K_ff, rhs = _reduced(system)
+    free, u, K_ff, rhs, mesh = system if isinstance(system, Eliminated) else eliminate(system)
+    u = u.copy()  # an Eliminated may be solved again
     if free.size == 0:
-        return FieldSolution(system.mesh, u)
+        return FieldSolution(mesh, u)
     try:
         lu = _factorise(K_ff)
         u_f = lu.solve(rhs)
@@ -565,7 +600,7 @@ def solve(system):
             + (", rows pivoted off the diagonal" if permuted else "")
         )
     u[free] = u_f
-    return FieldSolution(system.mesh, u)
+    return FieldSolution(mesh, u)
 
 
 def _norm_inf(A):

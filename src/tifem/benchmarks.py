@@ -6,6 +6,7 @@ to CSV.  Failed rows are kept with an error marker instead of being dropped.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -13,7 +14,9 @@ from operator import attrgetter
 import numpy as np
 
 from . import material as mat
-from .assembly import apply_dirichlet, assemble, h1_error, load_vector, solve
+from .assembly import (
+    apply_dirichlet, assemble, eliminate, h1_error, load_vector, release, solve,
+)
 from .elements import FormulationVariant
 from .mesh import COOK_CORNERS, cook_mesh, rectangle_mesh
 
@@ -130,19 +133,24 @@ class ErrorReport:
         return next((r for r in self.rows if (r.variant, r.p, r.angle, r.refine) == key), None)
 
 
-def _sweep(cfg, make_mesh, solve_row):
+def _sweep(cfg, make_mesh, constrain, row_fields):
     """Rows over cfg's variants x p_list x angles x refine, sorted.
 
     Each quantity is made where it is constant.  make_mesh(refine, order)
     runs once per pair and returns a case: the mesh first, then what the
     driver keeps per mesh (its load, the nodes it reads).  The material
     (mp, frame) is derived once per (p, angle); each row still checks its
-    stability.  solve_row(case, mp, frame, variant) returns the row's result
-    fields.  Rows with equal refine, p, angle, order and reduced terms have
-    the same operator and share one solve_row call, as Q1_CG_UI_beta and
-    Q1_MIXED_P0_beta do.  A row that fails for any reason keeps its inputs
-    and an error marker; a failed solve is not shared, so the next row with
-    its key tries again.
+    stability.  Rows with equal refine, p, angle, order and reduced terms
+    have the same operator, as Q1_CG_UI_beta and Q1_MIXED_P0_beta do, and
+    share its result fields.  Each operator is assembled, given the
+    driver's load and Dirichlet data by constrain(case, system, mp, frame),
+    eliminated and solved, and row_fields(case, solution, mp, frame) returns
+    its result fields.  The system is dropped once eliminated, and at a mesh's
+    last operator the mesh's assembly entries are released
+    (`assembly.release`), so that neither is alive at the factorisation.
+    A row that fails for any reason keeps its inputs and an error marker; a
+    failed solve is not shared, so the next row with its key tries again,
+    on entries built again if they were released.
     """
     report = ErrorReport()
     make_mesh = functools.cache(make_mesh)
@@ -151,31 +159,41 @@ def _sweep(cfg, make_mesh, solve_row):
     def material(ec, angle):
         return mat.derive_parameters(ec), mat.FibreFrame.from_angle(angle)
 
+    def solve_operator(case, mp, frame, variant, last):
+        mesh = case[0]
+        system = assemble(mesh, mp, frame, variant)
+        constrain(case, system, mp, frame)
+        reduced = eliminate(system)
+        del system
+        if last:
+            release(mesh)
+        solution = solve(reduced)
+        del reduced
+        return row_fields(case, solution, mp, frame)
+
+    grid = list(itertools.product(cfg.variants, cfg.p_list, cfg.angles, cfg.refine))
+    keys = [(n, variant.order, variant.reduced, p, angle) for variant, p, angle, n in grid]
+    # each mesh (refine, order)'s last distinct operator
+    last = {key[:2]: key for key in dict.fromkeys(keys)}
     solved = {}
-    for variant in cfg.variants:
-        for p in cfg.p_list:
-            for angle in cfg.angles:
-                for n in cfg.refine:
-                    row = ReportRow(
-                        variant=variant.value, p=p, q=cfg.q,
-                        nu_t=cfg.nu_t, nu_l=cfg.nu_l, angle=angle, refine=n,
-                    )
-                    try:
-                        ec = mat.EngineeringConstants(cfg.E_t, p, cfg.q, cfg.nu_t, cfg.nu_l)
-                        if not mat.check_stability(ec).admissible:
-                            raise ValueError("inadmissible material")
-                        mp, frame = material(ec, angle)
-                        case = make_mesh(n, variant.order)
-                        key = (n, variant.order, variant.reduced, p, angle)
-                        if key not in solved:
-                            solved[key] = solve_row(case, mp, frame, variant)
-                        mesh = case[0]
-                        row = replace(
-                            row, h=mesh.h, dofs=2 * mesh.n_nodes, **solved[key]
-                        )
-                    except Exception as err:  # noqa: BLE001 - per-row error marker
-                        row = replace(row, status=f"error:{type(err).__name__}")
-                    report.rows.append(row)
+    for (variant, p, angle, n), key in zip(grid, keys):
+        row = ReportRow(
+            variant=variant.value, p=p, q=cfg.q,
+            nu_t=cfg.nu_t, nu_l=cfg.nu_l, angle=angle, refine=n,
+        )
+        try:
+            ec = mat.EngineeringConstants(cfg.E_t, p, cfg.q, cfg.nu_t, cfg.nu_l)
+            if not mat.check_stability(ec).admissible:
+                raise ValueError("inadmissible material")
+            mp, frame = material(ec, angle)
+            case = make_mesh(n, variant.order)
+            if key not in solved:
+                solved[key] = solve_operator(case, mp, frame, variant, key == last[key[:2]])
+            mesh = case[0]
+            row = replace(row, h=mesh.h, dofs=2 * mesh.n_nodes, **solved[key])
+        except Exception as err:  # noqa: BLE001 - per-row error marker
+            row = replace(row, status=f"error:{type(err).__name__}")
+        report.rows.append(row)
     report.sort()
     return report
 
@@ -191,15 +209,15 @@ def run_cook(cfg):
         load.flags.writeable = False  # every system on the mesh shares it
         return mesh, load, mesh.boundary_nodes["tip"][0]
 
-    def solve_row(case, mp, frame, variant):
-        mesh, load, tip = case
-        system = assemble(mesh, mp, frame, variant)
-        system.load = load
+    def constrain(case, system, mp, frame):
+        system.load = case[1]
         apply_dirichlet(system, {"left": (0.0, 0.0)})
-        du, dv = solve(system).at_node(tip)
+
+    def row_fields(case, solution, mp, frame):
+        du, dv = solution.at_node(case[2])
         return {"tip_u": float(du), "tip_v": float(dv)}
 
-    return _sweep(cfg, make_mesh, solve_row)
+    return _sweep(cfg, make_mesh, constrain, row_fields)
 
 
 def beam_exact(cfg, mp, frame):
@@ -257,25 +275,25 @@ def run_beam(cfg):
         tip = _nearest_node(mesh, (cfg.L, -cfg.H / 2))
         return mesh, load, corner, tip
 
-    def solve_row(case, mp, frame, variant):
-        mesh, load, corner, tip = case
-        u_func, grad_func = exact(mp, frame)
-        system = assemble(mesh, mp, frame, variant)
+    def constrain(case, system, mp, frame):
+        _, load, corner, _ = case
+        u_func, _ = exact(mp, frame)
         system.load = load
         apply_dirichlet(
             system,
             {"left": lambda x, y: (u_func(x, y)[0], None)},
             node_constraints=[(corner, 1, 0.0)],
         )
-        sol = solve(system)
-        h1, l2 = h1_error(sol, u_func, grad_func, relative=True)
-        du, dv = sol.at_node(tip)
+
+    def row_fields(case, solution, mp, frame):
+        h1, l2 = h1_error(solution, *exact(mp, frame), relative=True)
+        du, dv = solution.at_node(case[3])
         return {
             "tip_u": float(du), "tip_v": float(dv),
             "h1_error": float(h1), "l2_error": float(l2),
         }
 
-    report = _sweep(cfg, make_mesh, solve_row)
+    report = _sweep(cfg, make_mesh, constrain, row_fields)
     report.attach_rates()
     return report
 

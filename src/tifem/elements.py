@@ -14,13 +14,18 @@ The form is linear in the material coefficients, so the kernel splits in two
 dN_a/dx_j dN_b/dx_l on the kernel's own rule, and the reduced moments
 (int dN_a/dx_j)(int dN_b/dx_l) / |E| from the same rule, hold all of the
 geometry and none of the material (`moments`); each stiffness contracts them
-with the material's 4 x 4 coefficients in gradient form (`stiffness_blocks`).
+with the material's 4 x 4 coefficients in gradient form
+(`gradient_coefficients`, `stiffness_blocks`).
 On Q1 the reduced moments are rank-one products on the full set's geometry,
 one call of `geometry` for both sets and one multiplication per entry.
-`assembly.assemble` keeps a mesh's moments on the mesh (`QuadMesh.cached`),
-built on first use from the nodes as they are at that time, and contracts
-them for every operator; `element_stiffness` and `p0_projected_term` build
-them from their coordinates on every call.
+`moments` runs over chunks of consecutive elements whose element matrices
+hold about _BLOCK entries together (`element_chunks`), so that no temporary
+of its geometry is the length of the mesh, and `assembly.assemble` contracts
+and scatters over the same chunks.  `assembly.assemble` keeps a mesh's
+moments on the mesh (`QuadMesh.cached`), built on first use from the nodes
+as they are at that time, and contracts them for every operator;
+`element_stiffness` and `p0_projected_term` build them from their
+coordinates on every call.
 """
 
 import enum
@@ -36,6 +41,17 @@ from .mesh import LOCAL_NODES
 
 class NonPositiveJacobian(ValueError):
     """Element geometry has a non-positive Jacobian determinant."""
+
+
+_BLOCK = 1 << 16  # entries in an element chunk's matrices, or in a column block of a mat-vec
+
+
+def element_chunks(E, n):
+    """(e0, e1) of consecutive chunks of E elements of n nodes, elements e0
+    to e1 - 1, whose element matrices, (2n)^2 entries each, hold about
+    _BLOCK entries together: 202 Q2 or 1024 Q1 elements."""
+    step = max(1, _BLOCK // (2 * n) ** 2)
+    return [(e0, min(e0 + step, E)) for e0 in range(0, E, step)]
 
 
 class FormulationVariant(enum.Enum):
@@ -138,13 +154,15 @@ def _interpolate(nodal, table):
     return (np.swapaxes(nodal, 1, 2).reshape(-1, n) @ table.T).reshape(E, -1, len(table))
 
 
-def geometry(coords, order, n_gauss):
+def geometry(coords, order, n_gauss, first=0):
     """Element geometry batched over elements and Gauss points.
 
     coords: (E, n, 2) node coordinates.  Returns shape values (q, n),
     physical gradients (E, q, n, 2) and weight * det J (E, q) on the
     n_gauss x n_gauss rule.  det J must be positive on the rule and at the
     nodes; a bilinear map's det J is affine, so on Q1 the corners decide.
+    An element with a non-positive det J is named by its index in coords
+    plus first, the index of coords' first element in its mesh.
     """
     rule, points, vals, grads = _tabulated(order, n_gauss)
     k, n = vals.shape
@@ -155,7 +173,7 @@ def geometry(coords, order, n_gauss):
     if bad.size:
         e, q = bad[0]
         raise NonPositiveJacobian(
-            f"element {e}: det J = {detJ[e, q]} at {points[q].tolist()}"
+            f"element {first + e}: det J = {detJ[e, q]} at {points[q].tolist()}"
         )
     q = len(rule.weights)
     detJ = detJ[:, :q]
@@ -197,32 +215,48 @@ def moments(coords, order):
     coords: (E, n, 2).  Returns the moments M_jl[e, a, b] = sum_q w det J
     dN_a/dx_j dN_b/dx_l as (3, E, n, n) for jl = 00, 01, 11 (M_10 = M_01^T),
     in a tuple that on order 1 holds the reduced moments (int dN_a/dx_j)
-    (int dN_b/dx_l) / |E| next: both sets from one call of `geometry`,
-    written into one array.
+    (int dN_b/dx_l) / |E| next: both sets from one call of `geometry` per
+    chunk of `element_chunks`, written into one array.
     """
-    _, dN, wdet = geometry(coords, order, order + 1)
-    E, _, n, _ = dN.shape
-    wdN = wdet[..., None, None] * dN
+    E, n, _ = coords.shape
     sets = np.empty((2 if order == 1 else 1, 3, E, n, n))
-    # one (n, q) @ (q, n) product per element and block
-    for M, (j, l) in zip(sets[0], _JL):
-        np.matmul(np.swapaxes(wdN[..., j], 1, 2), dN[..., l], out=M)
-    if order == 1:
-        # a rank-one product per element and block: each entry is the one
-        # product (int dN_a/dx_j / |E|) int dN_b/dx_l
-        g = np.sum(wdN, axis=1)
-        wg = g * (1.0 / wdet.sum(axis=1))[:, None, None]
-        for M, (j, l) in zip(sets[1], _JL):
-            np.multiply(wg[:, :, j, None], g[:, None, :, l], out=M)
+    for e0, e1 in element_chunks(E, n):
+        _, dN, wdet = geometry(coords[e0:e1], order, order + 1, first=e0)
+        wdN = wdet[..., None, None] * dN
+        # one (n, q) @ (q, n) product per element and block
+        for M, (j, l) in zip(sets[0, :, e0:e1], _JL):
+            np.matmul(np.swapaxes(wdN[..., j], 1, 2), dN[..., l], out=M)
+        if order == 1:
+            # a rank-one product per element and block: each entry is the one
+            # product (int dN_a/dx_j / |E|) int dN_b/dx_l
+            g = np.sum(wdN, axis=1)
+            wg = g * (1.0 / wdet.sum(axis=1))[:, None, None]
+            for M, (j, l) in zip(sets[1, :, e0:e1], _JL):
+                np.multiply(wg[:, :, j, None], g[:, None, :, l], out=M)
     return tuple(sets)
 
 
-def _blocks(terms):
-    """Element matrices from (C, moments) pairs, C (4, 4) a symmetric
-    coefficient over the gradient components ij = 00, 01, 10, 11 and moments
-    (3, E, n, n) as `moments` gives them.  Returns (2, 2, E, n, n), exactly
-    symmetric: K[i, k, e, a, b] is entry (2a + i, 2b + k) of element e's
-    matrix, the sum over the pairs of sum_jl C[ij, kl] M_jl[e, a, b].
+def gradient_coefficients(mp, frame, variant):
+    """The symmetric 4 x 4 coefficients over the gradient components ij = 00,
+    01, 10, 11 that a variant's stiffness contracts with the element moments:
+    for the terms integrated in full, S^T D S made exactly symmetric, then,
+    for a variant with reduced terms, the sum of their `_reduced_coefficient`s,
+    which goes with the reduced moments."""
+    D = plane_strain_stiffness(replace(mp, **dict.fromkeys(variant.reduced, 0.0)), frame)
+    C = D[np.ix_(_VOIGT, _VOIGT)]
+    coefficients = [0.5 * (C + C.T)]
+    if variant.reduced:
+        coefficients.append(sum(_reduced_coefficient(term, getattr(mp, term), frame)
+                                for term in variant.reduced))
+    return coefficients
+
+
+def stiffness_blocks(coefficients, *sets):
+    """Element matrices from coefficients C (4, 4), as `gradient_coefficients`
+    gives them, each paired in order with one moment set (3, E, n, n), as
+    `moments` gives them.  Returns (2, 2, E, n, n), exactly symmetric:
+    K[i, k, e, a, b] is entry (2a + i, 2b + k) of element e's matrix, the
+    sum over the pairs of sum_jl C[ij, kl] M_jl[e, a, b].
 
     The four blocks ik come from one (4, 3) @ (3, E n^2) product per pair:
     the symmetrisation turns the M_10 = M_01^T part into a second M_01 part.
@@ -232,7 +266,7 @@ def _blocks(terms):
         fold = np.stack([C[:, 0, :, 0], 2.0 * C[:, 0, :, 1], C[:, 1, :, 1]], axis=-1)
         return fold.reshape(4, 3) @ M.reshape(3, -1)
 
-    (C, M), *rest = terms
+    (C, M), *rest = zip(coefficients, sets)
     K = product(C, M)
     for C_term, M_term in rest:
         K += product(C_term, M_term)
@@ -242,25 +276,6 @@ def _blocks(terms):
     K = np.add(K, K.transpose(1, 0, 2, 4, 3))
     K *= 0.5
     return K
-
-
-def stiffness_blocks(mp, frame, variant, full, reduced=None):
-    """Element stiffness blocks (2, 2, E, n, n), laid out as `_blocks` gives
-    them, from the element moments `full` and, for a variant with reduced
-    terms, the reduced moments.
-
-    The terms integrated in full contract D in gradient form, S^T D S, made
-    exactly symmetric; each reduced term contracts its `_reduced_coefficient`
-    with the reduced moments.
-    """
-    D = plane_strain_stiffness(replace(mp, **dict.fromkeys(variant.reduced, 0.0)), frame)
-    C = D[np.ix_(_VOIGT, _VOIGT)]
-    terms = [(0.5 * (C + C.T), full)]
-    if variant.reduced:
-        C_red = sum(_reduced_coefficient(term, getattr(mp, term), frame)
-                    for term in variant.reduced)
-        terms.append((C_red, reduced))
-    return _blocks(terms)
 
 
 def _interleaved(K):
@@ -282,7 +297,8 @@ def element_stiffness(coords, mp, frame, variant):
         raise ValueError(
             f"{variant.value} expects {n_expected} nodes, got shape {coords.shape}"
         )
-    K = stiffness_blocks(mp, frame, variant, *moments(coords.reshape(-1, n_expected, 2), order))
+    K = stiffness_blocks(gradient_coefficients(mp, frame, variant),
+                         *moments(coords.reshape(-1, n_expected, 2), order))
     return _interleaved(K).reshape(coords.shape[:-2] + (2 * n_expected,) * 2)
 
 
@@ -299,7 +315,7 @@ def p0_projected_term(coords, coefficient, which, frame=None):
     if coords.shape != (4, 2):
         raise ValueError("reduced terms are defined for order-1 elements")
     _, reduced = moments(coords[None], 1)
-    return _interleaved(_blocks([(C, reduced)]))[0]
+    return _interleaved(stiffness_blocks([C], reduced))[0]
 
 
 # One-point under-integrated term: the matrix of p0_projected_term on every

@@ -21,9 +21,11 @@ free dofs solved for (`assembly._pattern`, `assembly._free_layout`), the
 material-free element moments that every stiffness on the mesh contracts
 (`elements.moments`), and the error rule's shape values, weights, points and
 gradients, the last laid out for one product per element
-(`assembly._error_rule`).  What a sweep's driver fixes per mesh, its load
-vector and the nodes it reads, the driver keeps next to the mesh
-(`benchmarks._sweep`).
+(`assembly._error_rule`).  What only assembly and elimination read, the
+moments, the pattern and the K_FF layouts, a sweep drops (`QuadMesh.forget`,
+through `assembly.release`) before the last factorisation on the mesh.
+What a sweep's driver fixes per mesh, its load vector and the nodes it
+reads, the driver keeps next to the mesh (`benchmarks._sweep`).
 """
 
 from dataclasses import dataclass, field
@@ -60,16 +62,23 @@ class QuadMesh:
 
     def cached(self, key, build):
         """build(), an array or a tuple of arrays, on the first call with this
-        key, kept read-only for every later call: the mesh's one cache, which
-        assembly and error integration fill (see the module docstring).
-        Nothing is evicted, so a mesh keeps one K_FF layout per distinct set
-        of free dofs it is solved with; every driver solves a mesh under one."""
+        key, kept read-only for every later call until `forget` drops it:
+        the mesh's one cache, which assembly and error integration fill (see
+        the module docstring).  A mesh keeps one K_FF layout per distinct
+        set of free dofs it is solved with; every driver solves a mesh under
+        one."""
         if key not in self._cache:
             value = build()
             for array in value if isinstance(value, tuple) else (value,):
                 array.flags.writeable = False
             self._cache[key] = value
         return self._cache[key]
+
+    def forget(self, *names):
+        """Drop the cache's entries whose key is one of names, or a tuple
+        that starts with one; each is built again on its next use."""
+        for key in [k for k in self._cache if (k[0] if isinstance(k, tuple) else k) in names]:
+            del self._cache[key]
 
     def edge_nodes(self, element, local_edge):
         """Node indices along a local edge, endpoints first, midside last; for

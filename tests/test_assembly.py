@@ -1,9 +1,11 @@
 import ast
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from operator import getitem
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +40,8 @@ import tifem.assembly
 import tifem.benchmarks
 import tifem.elements
 import tifem.material
-from tifem.assembly import _at_points, _norm_inf, _pattern, _reduced
+from tifem.assembly import _at_points, _norm_inf, _pattern, eliminate
+from tifem.elements import _BLOCK, element_chunks, gradient_coefficients, stiffness_blocks
 from conftest import dense, distorted_cook_mesh, sample_admissible
 
 V = FormulationVariant
@@ -159,6 +162,22 @@ class TestAssemble:
         with pytest.raises(NonPositiveJacobian, match=r"^element 2: det J = -0\.25 "):
             assemble(mesh, MP_ISO, FRAME0, V.Q1_CG)
 
+    def test_inverted_element_past_the_first_chunk_is_named(self):
+        # cook_mesh(16, 2) has 256 Q2 elements, two chunks of 202 and 54:
+        # the first bad element is named by its index in the mesh
+        mesh = cook_mesh(16, 2)
+        assert len(element_chunks(*mesh.elements.shape)) == 2
+        mirrored = [0, 3, 2, 1, 7, 6, 5, 4, 8]  # the same element, clockwise
+        for e in (230, 250):
+            mesh.elements[e] = mesh.elements[e][mirrored]
+        with pytest.raises(NonPositiveJacobian) as alone:
+            tifem.elements.geometry(mesh.nodes[mesh.elements[230:231]], 2, 3)
+        assert str(alone.value).startswith("element 0: det J = -")
+        message = "element 230" + str(alone.value).removeprefix("element 0")
+        with pytest.raises(NonPositiveJacobian) as err:
+            assemble(mesh, MP_ISO, FRAME0, V.Q2_CG)
+        assert str(err.value) == message
+
 
 class TestDirichletAndSolve:
     def test_homogeneous_constraints_leave_load(self):
@@ -235,7 +254,7 @@ class TestDirichletAndSolve:
         K = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, -1.0, 2.0], 1) + np.diag([1.0, -1.0, 2.0], -1)
         K[0, 3] = K[3, 0] = 0.5
         load = np.array([1.0, -2.0, 3.0, 0.5])
-        free, u, K_ff, rhs = _reduced(system_of(K, load))
+        free, u, K_ff, rhs, _ = eliminate(system_of(K, load))
         assert free.tolist() == [0, 1, 2, 3]
         assert np.array_equal(dense(K_ff), K[np.ix_(free, free)])
         assert np.array_equal(rhs, load[free])
@@ -307,7 +326,7 @@ class TestDirichletAndSolve:
         system = assemble(cook_mesh(64, 2), mp, FRAME0, V.Q2_CG, tractions={"right": (0.0, 6.25)})
         apply_dirichlet(system, {"left": (0.0, 0.0)})
         solve(system)
-        _, _, K_ff, _ = _reduced(system)
+        K_ff = eliminate(system).K_ff
         K_ff = sp.csc_matrix(K_ff, shape=(K_ff.indptr.size - 1,) * 2)
 
         def fill(permc_spec):
@@ -330,6 +349,63 @@ class TestDirichletAndSolve:
             apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
             results.append(solve(system).displacements.tobytes())
         assert results[0] == results[1]
+
+
+def one_shot_data(mesh, mp, frame, variant):
+    """K's values as one bincount of all of the mesh's element matrices over
+    their slots, the moments and element matrices each made for all
+    elements at once: assembly without element chunks."""
+    E, n = mesh.elements.shape
+    with mock.patch.object(tifem.elements, "_BLOCK", E * (2 * n) ** 2):  # one chunk
+        sets = tifem.elements.moments(mesh.nodes[mesh.elements], mesh.order)
+    Ke = stiffness_blocks(gradient_coefficients(mp, frame, variant), *sets)
+    pattern = _pattern(mesh)
+    return np.bincount(pattern.slots(0, E).ravel(), Ke.ravel(), pattern.indices.size)
+
+
+class TestChunkedAssembly:
+    """assemble runs over chunks of elements whose matrices hold about
+    _BLOCK entries, and gives the bits of assembling them all at once."""
+
+    @pytest.mark.parametrize("variant", list(V))
+    def test_equals_the_one_shot_bincount_bit_for_bit(self, variant, rng):
+        # 2304 Q1 elements in three chunks of 1024, 576 Q2 in three of 202
+        n = 48 if variant.order == 1 else 24
+        mesh = distorted_cook_mesh(n, variant.order, rng)
+        assert len(element_chunks(*mesh.elements.shape)) == 3
+        for p in (1e4, None):
+            ec = (EngineeringConstants(250.0, p, 1.0, 0.49995, 0.49995) if p
+                  else sample_admissible(rng))
+            mp, frame = derive_parameters(ec), FibreFrame.from_angle(rng.uniform(0, math.pi))
+            data = assemble(mesh, mp, frame, variant).data
+            assert data.tobytes() == one_shot_data(mesh, mp, frame, variant).tobytes()
+
+    def test_chunks_cover_the_elements_in_order(self):
+        assert element_chunks(0, 9) == []
+        assert element_chunks(405, 9) == [(0, 202), (202, 404), (404, 405)]
+        assert element_chunks(2048, 4) == [(0, 1024), (1024, 2048)]
+        assert element_chunks(3, 200) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("n, variant", [(64, V.Q2_CG), (128, V.Q1_CG_UI_betalambda)])
+    def test_memory_beyond_what_it_keeps_is_bounded_by_a_chunk(self, n, variant):
+        # what assemble keeps is K's values, the load, the mesh's moments and
+        # its pattern (built here first: its own build is not assembly's);
+        # above that it holds one chunk's element matrices, their slots and
+        # the contraction's temporaries, about 8 bytes x _BLOCK each, and the
+        # elements' coordinates while it builds the moments.  Assembling all
+        # elements at once held about 21 MB above it on the Q2 n = 64 panel
+        mesh = cook_mesh(n, variant.order)
+        _pattern(mesh)
+        mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.49995, 0.49995))
+        tracemalloc.start()
+        try:
+            system = assemble(mesh, mp, FibreFrame.from_angle(math.pi / 3), variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = system.data.nbytes + system.load.nbytes + sum(
+            M.nbytes for M in mesh.cached("moments", None))
+        assert peak - kept < 4 * 8 * _BLOCK
 
 
 class TestGather:
@@ -389,7 +465,7 @@ class TestGather:
             apply_dirichlet(system, {"left": lambda x, y: (0.1 * y - 0.2 * y**2, None)},
                             node_constraints=[(corner, 1, 0.05)])
         for _ in range(2):  # the second solve takes the cached layout
-            free, u, K_ff, rhs = _reduced(system)
+            free, u, K_ff, rhs, _ = eliminate(system)
             K = system.stiffness
             oracle = K[free][:, free].tocsc()
             assert np.array_equal(K_ff.indptr, oracle.indptr)
@@ -413,7 +489,7 @@ class TestGather:
         sizes = []
         for bcs in (A, B, A):
             system.constrained.clear()
-            free, _, K_ff, _ = _reduced(apply_dirichlet(system, bcs))
+            free, _, K_ff, _, _ = eliminate(apply_dirichlet(system, bcs))
             oracle = K[free][:, free].tocsc()
             assert np.array_equal(K_ff.indptr, oracle.indptr)
             assert np.array_equal(K_ff.indices, oracle.indices)
@@ -435,13 +511,16 @@ class TestGather:
 
     def test_sweep_builds_each_pattern_once(self, monkeypatch):
         calls = []
+        covered = []  # the elements of each geometry call
 
         def counted(module, name, label):
             fn = getattr(module, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls.append(label)
-                return fn(*args)
+                if label == "geometry":
+                    covered.append(len(args[0]))
+                return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         counted(tifem.assembly, "_stiffness_pattern", "pattern")
@@ -465,22 +544,31 @@ class TestGather:
         assert sorted(calls) == (["geometry"] * 4 + ["layout"] * 4 + ["load"] * 4
                                  + ["material"] * 3 + ["moments"] * 4 + ["pattern"] * 4)
         calls.clear()
-        solved = []
+        covered.clear()
+        constrained, solved = [], []
+        apply = tifem.benchmarks.apply_dirichlet
         solve = tifem.benchmarks.solve
+        monkeypatch.setattr(tifem.benchmarks, "apply_dirichlet",
+                            lambda system, *a, **k: constrained.append(system) or apply(system, *a, **k))
         monkeypatch.setattr(tifem.benchmarks, "solve",
                             lambda system: solved.append(system) or solve(system))
         report = run_beam(BeamConfig())
         assert report.all_ok and len(report.rows) == 72
         # the systems on a mesh share its load, which none of them can write
-        assert len(solved) == 60 and not any(s.load.flags.writeable for s in solved)
-        assert len({id(s.load) for s in solved}) == len({id(s.mesh) for s in solved}) == 8
+        assert len(solved) == len(constrained) == 60
+        assert not any(s.load.flags.writeable for s in constrained)
+        assert len({id(s.load) for s in constrained}) == len({id(s.mesh) for s in constrained}) == 8
         # 60 solves on 8 meshes (4 refinements x 2 orders) for 3 values of p:
         # the traction is integrated and the two monitored nodes found once
-        # per mesh, the moments, their one geometry and the error rule's
+        # per mesh, the moments, their geometry and the error rule's
         # geometry built once per mesh, and the material and its exact
-        # solution once per p
+        # solution once per p.  The moments' geometry covers each mesh's
+        # elements once, chunk by chunk: the Q2 40 x 8 mesh's 320 elements
+        # take two calls
+        meshes = {id(s.mesh): s.mesh for s in constrained}.values()
+        assert sum(covered) == sum(mesh.n_elements for mesh in meshes)
         assert sorted(calls) == (
-            ["error rule"] * 8 + ["exact solution"] * 3 + ["geometry"] * 8 + ["layout"] * 8
+            ["error rule"] * 8 + ["exact solution"] * 3 + ["geometry"] * 9 + ["layout"] * 8
             + ["load"] * 8 + ["material"] * 3 + ["moments"] * 8 + ["monitored node"] * 16
             + ["pattern"] * 8)
 
@@ -516,7 +604,7 @@ class TestIndefiniteSystem:
         system = assemble(mesh, derive_parameters(self.EC), FRAME0, variant,
                           tractions={"right": (0.0, 6.25)})
         apply_dirichlet(system, {"left": (0.0, 0.0)})
-        _, _, K_ff, _ = _reduced(system)
+        K_ff = eliminate(system).K_ff
         negative = np.count_nonzero(np.linalg.eigvalsh(dense(K_ff)) < 0)
         assert negative > 0
         with pytest.raises(IndefiniteSystem, match=f"^K_ff is not positive definite: {negative} negative pivots$"):
@@ -528,7 +616,7 @@ class TestIndefiniteSystem:
                           tractions={"right": (0.0, 6.25)})
         apply_dirichlet(system, {"left": (0.0, 0.0)})
         solve(system)
-        _, _, K_ff, _ = _reduced(system)
+        K_ff = eliminate(system).K_ff
         assert np.linalg.eigvalsh(dense(K_ff)).min() > 0
 
     def test_off_diagonal_pivot_is_refused(self):
@@ -549,7 +637,7 @@ class TestIndefiniteSystem:
             system = assemble(meshes[variant.order], mp, frame, variant,
                               tractions={"right": (0.0, 6.25)})
             apply_dirichlet(system, {"left": (0.0, 0.0)})
-            _, _, K_ff, _ = _reduced(system)
+            K_ff = eliminate(system).K_ff
             if np.linalg.eigvalsh(dense(K_ff)).min() > 0:
                 solve(system)
             else:
@@ -577,7 +665,7 @@ def test_solve_never_copies_the_factors(monkeypatch):
         system = assemble(mesh, derive_parameters(TestIndefiniteSystem.EC), FRAME0, variant,
                           tractions={"right": (0.0, 6.25)})
         apply_dirichlet(system, {"left": (0.0, 0.0)})
-        K_ff = _reduced(system)[2]
+        K_ff = eliminate(system).K_ff
         lu = factorise_unreadable(K_ff)
         for name in ("L", "U"):
             with pytest.raises(AssertionError, match="read lu.L or lu.U"):
@@ -612,7 +700,7 @@ class TestContracts:
         try:
             return solve(system).displacements.reshape(-1, 2)
         except IndefiniteSystem:
-            free, u, K_ff, rhs = _reduced(system)
+            free, u, K_ff, rhs, _ = eliminate(system)
             u[free] = np.linalg.solve(dense(K_ff), rhs)
             return u.reshape(-1, 2)
 
@@ -679,7 +767,7 @@ class TestContracts:
             try:
                 u = solve(system).displacements
             except IndefiniteSystem:
-                free, u, K_ff, rhs = _reduced(system)
+                free, u, K_ff, rhs, _ = eliminate(system)
                 u[free] = np.linalg.solve(dense(K_ff), rhs)
             exact = np.column_stack(linear(*mesh.nodes.T)).ravel()
             assert np.abs(u - exact).max() <= 1e-10 * np.abs(exact).max()

@@ -1,4 +1,6 @@
 import math
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from tifem import (
     MissingReference,
     ReportRow,
     SingularSystem,
+    assemble,
     beam_edge_profile,
     beam_exact,
     derive_parameters,
@@ -25,6 +28,8 @@ from tifem import (
     solve,
 )
 from tifem import EngineeringConstants
+import tifem.assembly
+import tifem.benchmarks
 
 V = FormulationVariant
 
@@ -184,36 +189,125 @@ class TestSharedSolve:
                           angles=(row.angle,), refine=(row.refine,))
             assert run_cook(one).rows == [row]
 
+    @staticmethod
+    def record_operators(monkeypatch, solve):
+        """Patch the sweep's assemble and solve to log ("assemble", variant)
+        and ("solve", variant of the system assembled last) in order; solve
+        is called as the sweep calls it, on the eliminated system."""
+        log = []
+        real_assemble = assemble
+
+        def logging_assemble(mesh, mp, frame, variant, *args, **kwargs):
+            log.append(("assemble", variant))
+            return real_assemble(mesh, mp, frame, variant, *args, **kwargs)
+
+        def logging_solve(reduced):
+            log.append(("solve", log[-1][1]))
+            return solve(reduced)
+
+        monkeypatch.setattr("tifem.benchmarks.assemble", logging_assemble)
+        monkeypatch.setattr("tifem.benchmarks.solve", logging_solve)
+        return log
+
     @pytest.mark.parametrize("run, cfg, rows, calls", [
         (run_cook, CookConfig(), 36, 30),
         (run_beam, BeamConfig(), 72, 60),
     ], ids=["cook", "beam"])
     def test_one_solve_per_operator(self, run, cfg, rows, calls, monkeypatch):
-        count = []
-
-        def counting_solve(system):
-            count.append(system.variant)
-            return solve(system)
-
-        monkeypatch.setattr("tifem.benchmarks.solve", counting_solve)
+        log = self.record_operators(monkeypatch, solve)
         report = run(cfg)
         assert report.all_ok and len(report.rows) == rows
+        # each solve is of the system assembled just before it
+        assert [step for step, _ in log] == ["assemble", "solve"] * calls
+        count = [variant for step, variant in log if step == "solve"]
         assert len(count) == calls
         assert V.Q1_MIXED_P0_beta not in count
 
     def test_failed_solve_is_not_shared(self, monkeypatch):
-        count = []
-
-        def failing_solve(system):
-            count.append(system.variant)
+        def failing_solve(reduced):
             raise SingularSystem("no solution")
 
-        monkeypatch.setattr("tifem.benchmarks.solve", failing_solve)
+        log = self.record_operators(monkeypatch, failing_solve)
         cfg = CookConfig(p_list=(2.0,), refine=(2,),
                          variants=(V.Q1_CG_UI_beta, V.Q1_MIXED_P0_beta))
         report = run_cook(cfg)
         assert [r.status for r in report.rows] == ["error:SingularSystem"] * 2
+        count = [variant for step, variant in log if step == "solve"]
         assert count == [V.Q1_CG_UI_beta, V.Q1_MIXED_P0_beta]
+
+
+class TestRelease:
+    """A sweep drops each system once K_FF and rhs are cut, and at a mesh's
+    last distinct operator the mesh's moments, pattern and K_FF layouts,
+    before the factorisation: what only assembly reads is not alive at it."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = Counter()
+        for name in ("moments", "_stiffness_pattern", "_free_layout"):
+            build = getattr(tifem.assembly, name)
+
+            def counted(*args, _build=build, _name=name):
+                calls[_name] += 1
+                return _build(*args)
+            monkeypatch.setattr(tifem.assembly, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("run, cfg", [
+        (run_cook, CookConfig(p_list=(1e4,), refine=(8,), variants=(V.Q1_CG_UI_betalambda,))),
+        (run_beam, BeamConfig(p_list=(3.0,), refine=(10,), variants=(V.Q2_CG,))),
+    ], ids=["cook", "beam"])
+    def test_nothing_assembly_reads_is_alive_at_the_factorisation(self, run, cfg, monkeypatch):
+        assembled, seen = [], []
+        factorise = tifem.assembly._factorise
+
+        def watched_assemble(*args, **kwargs):
+            system = assemble(*args, **kwargs)
+            assembled.append((weakref.ref(system), system.mesh))
+            return system
+
+        def watched_factorise(K_ff):
+            (system, mesh), = assembled
+            seen.append((system(), list(mesh._cache)))
+            return factorise(K_ff)
+
+        monkeypatch.setattr(tifem.benchmarks, "assemble", watched_assemble)
+        monkeypatch.setattr(tifem.assembly, "_factorise", watched_factorise)
+        report = run(cfg)
+        assert report.all_ok and len(report.rows) == 1
+        # the system is dead and the mesh's cache empty
+        assert seen == [(None, [])]
+
+    def test_default_cook_builds_each_mesh_entry_once(self, monkeypatch):
+        # each mesh's entries are released at its last distinct operator
+        # only, so nothing is built twice: one moments, pattern and K_FF
+        # layout per mesh (Q1 and Q2 at n = 16)
+        calls = self.count_builds(monkeypatch)
+        report = run_cook(CookConfig())
+        assert report.all_ok and len(report.rows) == 36
+        assert calls == {"moments": 2, "_stiffness_pattern": 2, "_free_layout": 2}
+
+    def test_failed_row_retries_on_rebuilt_entries(self, monkeypatch):
+        # Q1_CG_UI_beta's solve fails; Q1_CG_UI_betalambda is the mesh's last
+        # distinct operator and releases its entries; the Q1_MIXED_P0_beta
+        # row then retries Q1_CG_UI_beta's operator on entries built again
+        calls = self.count_builds(monkeypatch)
+        failures = [SingularSystem("once")]
+
+        def solve_failing_once(reduced):
+            if failures:
+                raise failures.pop()
+            return solve(reduced)
+
+        monkeypatch.setattr(tifem.benchmarks, "solve", solve_failing_once)
+        cfg = CookConfig(p_list=(1e4,), refine=(4,), variants=(
+            V.Q1_CG_UI_beta, V.Q1_CG_UI_betalambda, V.Q1_MIXED_P0_beta))
+        rows = {r.variant: r for r in run_cook(cfg).rows}
+        assert rows["Q1_CG_UI_beta"].status == "error:SingularSystem"
+        assert rows["Q1_CG_UI_betalambda"].status == rows["Q1_MIXED_P0_beta"].status == "ok"
+        assert calls == {"moments": 2, "_stiffness_pattern": 2, "_free_layout": 2}
+        alone = run_cook(replace(cfg, variants=(V.Q1_CG_UI_beta,))).rows[0]
+        assert rows["Q1_MIXED_P0_beta"] == replace(alone, variant="Q1_MIXED_P0_beta")
 
 
 class TestErrorReport:

@@ -244,7 +244,7 @@ class TestElementStiffness:
     def test_one_geometry_call_per_kernel_call(self, variant, rng, monkeypatch):
         calls = []
         real = elements.geometry
-        monkeypatch.setattr(elements, "geometry", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(elements, "geometry", lambda *a, **k: calls.append(a) or real(*a, **k))
         mp = derive_parameters(sample_admissible(rng))
         corners = np.stack([random_quad(rng) for _ in range(3)])
         coords = corners if variant.order == 1 else np.stack([q2_coords(c) for c in corners])

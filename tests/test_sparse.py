@@ -33,7 +33,7 @@ from tifem import (
 )
 import tifem.assembly
 from tifem.assembly import (
-    _BLOCK, CSC, _column_blocks, _factorise, _free_layout, _norm_inf, _pivots, _reduced,
+    _BLOCK, CSC, _column_blocks, _factorise, _free_layout, _norm_inf, _pivots, eliminate,
     _stiffness_pattern,
 )
 from conftest import dense, distorted_cook_mesh, sample_admissible
@@ -157,7 +157,7 @@ def test_mat_vecs_have_scipys_bits(drawn):
     K = system.stiffness
     for free in free_sets(mesh, rng):
         hold(system, free, rng)
-        got, u, K_ff, rhs = _reduced(system)
+        got, u, K_ff, rhs, _ = eliminate(system)
         assert np.array_equal(got, free)
         assert rhs.tobytes() == (system.load - K @ u)[free].tobytes()
         oracle = K[free][:, free].tocsc()
@@ -168,7 +168,7 @@ def test_mat_vecs_have_scipys_bits(drawn):
 
 @pytest.mark.parametrize("variant", list(V))
 def test_assembled_stiffness_is_symmetric_bit_for_bit(variant):
-    # _reduced reads K's rows of the fixed dofs as its columns
+    # eliminate reads K's rows of the fixed dofs as its columns
     rng = np.random.default_rng(11)
     mesh = distorted_cook_mesh(4, variant.order, rng)
     mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.3, 0.3))
@@ -195,7 +195,7 @@ def test_rhs_from_the_fixed_rows_has_scipys_bits(prescribed, order):
     system = assemble(mesh, mp, FibreFrame.from_angle(1.0), variant,
                       tractions={"right": (0.0, 6.25)})
     system.constrained.update(prescribed(mesh))
-    free, u, K_ff, rhs = _reduced(system)
+    free, u, K_ff, rhs, _ = eliminate(system)
     assert free.size == system.n_dofs - len(system.constrained)
     assert rhs.tobytes() == (system.load - system.stiffness @ u)[free].tobytes()
     assert rhs.tobytes() != system.load[free].tobytes()
@@ -226,7 +226,7 @@ def test_factorisation_equals_splus(drawn, variant):
     if variant.order != mesh.order:
         variant = V.Q1_CG if mesh.order == 1 else V.Q2_CG
     system = constrained_system(mesh, rng, variant)
-    _, _, K_ff, rhs = _reduced(system)
+    _, _, K_ff, rhs, _ = eliminate(system)
     try:
         expected = splu(K_ff)
     except RuntimeError as err:
@@ -293,7 +293,7 @@ def panel_K_ff(n, variant):
     system = assemble(cook_mesh(n, variant.order), mp, FibreFrame.from_angle(math.pi / 3), variant,
                       tractions={"right": (0.0, 6.25)})
     apply_dirichlet(system, {"left": (0.0, 0.0)})
-    return _reduced(system)[2]
+    return eliminate(system).K_ff
 
 
 @pytest.mark.parametrize("n, variant, fill", [(64, V.Q2_CG, 4_216_544),
