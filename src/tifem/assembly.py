@@ -23,7 +23,8 @@ assembly and no temporary the length of the mesh's element matrices.
 boolean mask over K's data: K's exact symmetry makes K's rows of F, cut to
 F's columns, K_FF's columns, so K_FF's data is K's data where the mask holds,
 in K's order.  A LinearSystem holds K's values on its mesh's pattern, so
-every K and K_FF of a mesh takes this one path.
+every K and K_FF of a mesh takes this one path, and its `stiffness` is K as
+a CSC view of them, nothing copied: K's CSR arrays are its CSC arrays.
 
 Elimination (`eliminate`) cuts K_FF and rhs from a system, and `solve`
 factorises what it gives, eliminating a system first.  A sweep eliminates
@@ -38,10 +39,11 @@ blocks of columns of about 2^16 stored entries (`_column_blocks`), so that
 no temporary of theirs is as long as K_FF's data: each adds its terms into
 the rows with np.add.at, unbuffered and in storage order, so every row sums
 them in the order of scipy's CSC mat-vec.  scipy is used for its SuperLU
-extension alone, loaded from its file (`_load_superlu`) so that no
-scipy.sparse module is imported, which would add about 0.2 s to every
-command's start.  `_factorise` calls its `gstrf` with exactly the arguments
-that scipy.sparse.linalg.splu(K_FF, permc_spec="NATURAL",
+extension alone, which the import system finds in scipy's directory and
+loads under its own name (`_load_superlu`), so that no scipy module is
+imported: scipy.sparse would add about 0.2 s to every command's start.
+`_factorise` calls its `gstrf` with exactly the arguments that
+scipy.sparse.linalg.splu(K_FF, permc_spec="NATURAL",
 diag_pivot_thresh=0.0, panel_size=2, options=dict(SymmetricMode=True))
 passes it.  gstrf's panel workspace is n x width, and 72% of the
 supernodes of the panels' nested-dissection order are one or two columns
@@ -218,19 +220,17 @@ def _free_layout(indptr, indices, free):
 
 
 def _load_superlu():
-    """scipy's SuperLU extension, loaded from its file under its own name:
-    importing it from scipy.sparse.linalg would import all of scipy.sparse,
-    and scipy's directory is found without running its __init__."""
-    scipy = Path(importlib.util.find_spec("scipy").origin).parent
-    stem = scipy / "sparse" / "linalg" / "_dsolve" / "_superlu"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = stem.with_name(stem.name + suffix)
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location("_superlu", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"no SuperLU extension {stem}.*")
+    """scipy's SuperLU extension, found by the import system in scipy's
+    _dsolve directory and loaded under its own name: importing it from
+    scipy.sparse.linalg would import all of scipy.sparse, and scipy's
+    directory is found without running its __init__."""
+    dsolve = Path(importlib.util.find_spec("scipy").origin).parent / "sparse" / "linalg" / "_dsolve"
+    spec = importlib.machinery.PathFinder.find_spec("_superlu", [str(dsolve)])
+    if spec is None:
+        raise ImportError(f"no SuperLU extension _superlu in {dsolve}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 _superlu = _load_superlu()
@@ -370,13 +370,10 @@ class LinearSystem:
 
     @property
     def stiffness(self):
-        """K in CSR: a view of data on the mesh's pattern, nothing copied.
-        This alone imports scipy.sparse; the solve does not read it."""
-        import scipy.sparse as sp
-
+        """K as a CSC view of data on the mesh's pattern, nothing copied: K
+        is symmetric bit for bit, so its CSR arrays are its CSC arrays."""
         pattern = _pattern(self.mesh)
-        return sp.csr_matrix((self.data, pattern.indices, pattern.indptr),
-                             shape=(self.n_dofs, self.n_dofs))
+        return CSC(self.data, pattern.indices, pattern.indptr)
 
 
 @dataclass

@@ -137,23 +137,29 @@ def _sweep(cfg, make_mesh, constrain, row_fields):
     """Rows over cfg's variants x p_list x angles x refine, sorted.
 
     Each quantity is made where it is constant.  make_mesh(refine, order)
-    runs once per pair and returns a case: the mesh first, then what the
-    driver keeps per mesh (its load, the nodes it reads).  The material
+    runs once per pair and returns a case (mesh, load, *monitored nodes):
+    the mesh, its load vector, made read-only here and shared by every
+    system on the mesh, and the nodes the driver reads.  The material
     (mp, frame) is derived once per (p, angle); each row still checks its
     stability.  Rows with equal refine, p, angle, order and reduced terms
     have the same operator, as Q1_CG_UI_beta and Q1_MIXED_P0_beta do, and
-    share its result fields.  Each operator is assembled, given the
-    driver's load and Dirichlet data by constrain(case, system, mp, frame),
-    eliminated and solved, and row_fields(case, solution, mp, frame) returns
-    its result fields.  The system is dropped once eliminated, and at a mesh's
-    last operator the mesh's assembly entries are released
+    share its result fields.  Each operator is assembled, given the case's
+    load and the driver's Dirichlet data by constrain(case, system, mp,
+    frame), eliminated and solved, and row_fields(case, solution, mp, frame)
+    returns its result fields.  The system is dropped once eliminated, and
+    at a mesh's last operator the mesh's assembly entries are released
     (`assembly.release`), so that neither is alive at the factorisation.
     A row that fails for any reason keeps its inputs and an error marker; a
     failed solve is not shared, so the next row with its key tries again,
     on entries built again if they were released.
     """
     report = ErrorReport()
-    make_mesh = functools.cache(make_mesh)
+
+    @functools.cache
+    def make_case(n, order):
+        case = make_mesh(n, order)
+        case[1].flags.writeable = False
+        return case
 
     @functools.cache
     def material(ec, angle):
@@ -162,6 +168,7 @@ def _sweep(cfg, make_mesh, constrain, row_fields):
     def solve_operator(case, mp, frame, variant, last):
         mesh = case[0]
         system = assemble(mesh, mp, frame, variant)
+        system.load = case[1]
         constrain(case, system, mp, frame)
         reduced = eliminate(system)
         del system
@@ -186,7 +193,7 @@ def _sweep(cfg, make_mesh, constrain, row_fields):
             if not mat.check_stability(ec).admissible:
                 raise ValueError("inadmissible material")
             mp, frame = material(ec, angle)
-            case = make_mesh(n, variant.order)
+            case = make_case(n, variant.order)
             if key not in solved:
                 solved[key] = solve_operator(case, mp, frame, variant, key == last[key[:2]])
             mesh = case[0]
@@ -206,11 +213,9 @@ def run_cook(cfg):
     def make_mesh(n, order):
         mesh = cook_mesh(n, order)
         load = load_vector(mesh, tractions={"right": (0.0, cfg.f / edge_len)})
-        load.flags.writeable = False  # every system on the mesh shares it
         return mesh, load, mesh.boundary_nodes["tip"][0]
 
     def constrain(case, system, mp, frame):
-        system.load = case[1]
         apply_dirichlet(system, {"left": (0.0, 0.0)})
 
     def row_fields(case, solution, mp, frame):
@@ -270,19 +275,16 @@ def run_beam(cfg):
     def make_mesh(nx, order):
         mesh = rectangle_mesh(cfg.L, cfg.H, nx, max(1, nx // 5), order)
         load = load_vector(mesh, tractions={"right": lambda x, y: (-c * y, 0.0)})
-        load.flags.writeable = False  # every system on the mesh shares it
         corner = _nearest_node(mesh, (0.0, -cfg.H / 2))
         tip = _nearest_node(mesh, (cfg.L, -cfg.H / 2))
         return mesh, load, corner, tip
 
     def constrain(case, system, mp, frame):
-        _, load, corner, _ = case
         u_func, _ = exact(mp, frame)
-        system.load = load
         apply_dirichlet(
             system,
             {"left": lambda x, y: (u_func(x, y)[0], None)},
-            node_constraints=[(corner, 1, 0.0)],
+            node_constraints=[(case[2], 1, 0.0)],
         )
 
     def row_fields(case, solution, mp, frame):

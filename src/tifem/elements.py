@@ -40,7 +40,7 @@ from .mesh import LOCAL_NODES
 
 
 class NonPositiveJacobian(ValueError):
-    """Element geometry has a non-positive Jacobian determinant."""
+    """Element geometry has a non-positive or non-finite Jacobian determinant."""
 
 
 _BLOCK = 1 << 16  # entries in an element chunk's matrices, or in a column block of a mat-vec
@@ -159,17 +159,18 @@ def geometry(coords, order, n_gauss, first=0):
 
     coords: (E, n, 2) node coordinates.  Returns shape values (q, n),
     physical gradients (E, q, n, 2) and weight * det J (E, q) on the
-    n_gauss x n_gauss rule.  det J must be positive on the rule and at the
-    nodes; a bilinear map's det J is affine, so on Q1 the corners decide.
-    An element with a non-positive det J is named by its index in coords
-    plus first, the index of coords' first element in its mesh.
+    n_gauss x n_gauss rule.  det J must be positive and finite on the rule
+    and at the nodes; a bilinear map's det J is affine, so on Q1 the corners
+    decide.  An element where det J is not a positive finite number, NaN
+    included, is named by its index in coords plus first, the index of
+    coords' first element in its mesh.
     """
     rule, points, vals, grads = _tabulated(order, n_gauss)
     k, n = vals.shape
     # J[e, i, :, j] = dx_i/dxi_j at each point
     J = _interpolate(coords, np.swapaxes(grads, 1, 2).reshape(2 * k, n)).reshape(-1, 2, k, 2)
     detJ = J[:, 0, :, 0] * J[:, 1, :, 1] - J[:, 0, :, 1] * J[:, 1, :, 0]
-    bad = np.argwhere(detJ <= 0.0)
+    bad = np.argwhere(~((detJ > 0.0) & (detJ < np.inf)))  # NaN fails both
     if bad.size:
         e, q = bad[0]
         raise NonPositiveJacobian(

@@ -56,10 +56,6 @@ class QuadMesh:
     def n_nodes(self):
         return self.nodes.shape[0]
 
-    @property
-    def n_elements(self):
-        return self.elements.shape[0]
-
     def cached(self, key, build):
         """build(), an array or a tuple of arrays, on the first call with this
         key, kept read-only for every later call until `forget` drops it:
@@ -200,8 +196,8 @@ def rectangle_mesh(L, H, nx, ny, order=1):
 
     Boundary tags: left, right, top, bottom.
     """
-    if L <= 0 or H <= 0:
-        raise ValueError("L and H must be positive")
+    if not (0 < L < np.inf and 0 < H < np.inf):  # NaN fails both
+        raise ValueError("L and H must be positive and finite")
 
     def mapping(s, t):
         return np.column_stack([L * s, H * (t - 0.5)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tifem import EngineeringConstants, check_stability, cook_mesh
 from tifem.mesh import COOK_CORNERS
@@ -53,6 +54,12 @@ def dense(A):
     out = np.zeros((n, n))
     out[A.indices, np.repeat(np.arange(n), np.diff(A.indptr))] = A.data
     return out
+
+
+def scipy_csr(K):
+    """K, a CSC symmetric bit for bit (`LinearSystem.stiffness`), as scipy's
+    CSR of the same arrays: the oracle the tests slice and multiply."""
+    return sp.csr_matrix((K.data, K.indices, K.indptr))
 
 
 def random_parallelogram(rng, scale=1.0):

@@ -42,7 +42,7 @@ import tifem.elements
 import tifem.material
 from tifem.assembly import _at_points, _norm_inf, _pattern, eliminate
 from tifem.elements import _BLOCK, element_chunks, gradient_coefficients, stiffness_blocks
-from conftest import dense, distorted_cook_mesh, sample_admissible
+from conftest import dense, distorted_cook_mesh, sample_admissible, scipy_csr
 
 V = FormulationVariant
 
@@ -79,7 +79,7 @@ class TestAssemble:
         edofs = np.empty(8, dtype=int)
         edofs[0::2] = 2 * conn
         edofs[1::2] = 2 * conn + 1
-        K = system.stiffness.toarray()
+        K = dense(system.stiffness)
         assert np.allclose(K[np.ix_(edofs, edofs)], Ke)
 
     def test_two_element_hand_scatter(self):
@@ -97,7 +97,7 @@ class TestAssemble:
                             K_oracle[2 * i_node + ci, 2 * j_node + cj] += Ke[
                                 2 * i_loc + ci, 2 * j_loc + cj
                             ]
-        assert np.allclose(system.stiffness.toarray(), K_oracle)
+        assert np.allclose(dense(system.stiffness), K_oracle)
 
     def test_zero_loads(self):
         mesh = rectangle_mesh(1.0, 1.0, 2, 2, order=1)
@@ -109,8 +109,8 @@ class TestAssemble:
         ec = sample_admissible(rng)
         mp = derive_parameters(ec)
         system = assemble(mesh, mp, FibreFrame.from_angle(0.9), V.Q2_CG)
-        diff = (system.stiffness - system.stiffness.T).toarray()
-        assert np.abs(diff).max() <= 1e-12 * np.abs(system.stiffness.toarray()).max()
+        K = dense(system.stiffness)
+        assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
 
     def test_unknown_traction_tag(self):
         mesh = rectangle_mesh(1.0, 1.0, 1, 1, order=1)
@@ -153,7 +153,7 @@ class TestAssemble:
                     K_oracle[2 * i_node : 2 * i_node + 2, 2 * j_node : 2 * j_node + 2] += Ke[
                         2 * i_loc : 2 * i_loc + 2, 2 * j_loc : 2 * j_loc + 2
                     ]
-        K = system.stiffness.toarray()
+        K = dense(system.stiffness)
         assert np.abs(K - K_oracle).max() <= 1e-12 * np.abs(K_oracle).max()
 
     def test_inverted_element_is_named(self):
@@ -177,6 +177,21 @@ class TestAssemble:
         with pytest.raises(NonPositiveJacobian) as err:
             assemble(mesh, MP_ISO, FRAME0, V.Q2_CG)
         assert str(err.value) == message
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 on the way
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("n, order, element", [(4, 1, 12), (16, 2, 230)])
+    def test_non_finite_node_is_refused(self, n, order, element, value):
+        # a NaN det J is no det J <= 0: the first element holding the node is
+        # named, on Q2 past the first of cook_mesh(16, 2)'s two chunks.  The
+        # node is the element's last local node, which no earlier one holds
+        mesh = cook_mesh(n, order)
+        node = mesh.elements[element, -1]
+        assert np.flatnonzero((mesh.elements == node).any(axis=1))[0] == element
+        mesh.nodes[node] = (value, 1.0)
+        variant = V.Q1_CG if order == 1 else V.Q2_CG
+        with pytest.raises(NonPositiveJacobian, match=rf"^element {element}: det J = (nan|-?inf) "):
+            assemble(mesh, MP_ISO, FRAME0, variant)
 
 
 class TestDirichletAndSolve:
@@ -208,7 +223,7 @@ class TestDirichletAndSolve:
         apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
         sol = solve(system)
 
-        K = system.stiffness.toarray()
+        K = dense(system.stiffness)
         free = [d for d in range(system.n_dofs) if d not in system.constrained]
         u_oracle = np.zeros(system.n_dofs)
         u_oracle[free] = np.linalg.solve(K[np.ix_(free, free)], system.load[free])
@@ -309,7 +324,7 @@ class TestDirichletAndSolve:
         apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
         sol = solve(system)
         free = np.setdiff1d(np.arange(system.n_dofs), list(system.constrained))
-        K_ff = system.stiffness.toarray()[np.ix_(free, free)]
+        K_ff = dense(system.stiffness)[np.ix_(free, free)]
         u_oracle = np.linalg.solve(K_ff, system.load[free])
         # Both solves are backward stable, so each is accurate only to about
         # eps * cond(K_ff); at p = 1e5 that is up to 8e-9 here, and the dense
@@ -425,7 +440,7 @@ class TestGather:
         mesh = distorted_cook_mesh(3, variant.order, rng)
         mp = derive_parameters(sample_admissible(rng))
         frame = FibreFrame.from_angle(0.7)
-        K = assemble(mesh, mp, frame, variant).stiffness
+        K = scipy_csr(assemble(mesh, mp, frame, variant).stiffness)
         # every element matrix is exactly symmetric, and K sums each entry
         # and its mirror image in the same order
         assert (K != K.T).nnz == 0
@@ -435,6 +450,21 @@ class TestGather:
         assert np.array_equal(K.indptr, oracle.indptr)
         assert np.array_equal(K.indices, oracle.indices)
         assert np.abs(K.data - oracle.data).max() <= 4 * np.finfo(float).eps * np.abs(oracle.data).max()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_stiffness_is_a_csc_view(self, order):
+        # K's CSR arrays are its CSC arrays: stiffness is the CSC of the
+        # system's data on the mesh's pattern, and reads as scipy's CSR of them
+        mesh = cook_mesh(3, order)
+        system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG if order == 1 else V.Q2_CG)
+        K = system.stiffness
+        pattern = _pattern(mesh)
+        assert type(K) is tifem.assembly.CSC
+        assert K.data is system.data
+        assert K.indices is pattern.indices and K.indptr is pattern.indptr
+        oracle = scipy_csr(K)
+        assert K.nnz == oracle.nnz == system.data.size
+        assert np.array_equal(dense(K), oracle.toarray())
 
     def test_pattern_is_shared_read_only(self):
         mesh = rectangle_mesh(2.0, 1.0, 2, 1, order=1)
@@ -466,7 +496,7 @@ class TestGather:
                             node_constraints=[(corner, 1, 0.05)])
         for _ in range(2):  # the second solve takes the cached layout
             free, u, K_ff, rhs, _ = eliminate(system)
-            K = system.stiffness
+            K = scipy_csr(system.stiffness)
             oracle = K[free][:, free].tocsc()
             assert np.array_equal(K_ff.indptr, oracle.indptr)
             assert np.array_equal(K_ff.indices, oracle.indices)
@@ -483,7 +513,7 @@ class TestGather:
                             lambda *args: built.append(args) or free_layout(*args))
         mesh = cook_mesh(4, 1)
         system = assemble(mesh, MP_ISO, FRAME0, V.Q1_CG, tractions={"right": (0.0, 1.0)})
-        K = system.stiffness
+        K = scipy_csr(system.stiffness)
         A = {"left": (0.0, 0.0)}
         B = {"left": (0.0, 0.0), "bottom": (None, 0.0)}
         sizes = []
@@ -566,16 +596,16 @@ class TestGather:
         # elements once, chunk by chunk: the Q2 40 x 8 mesh's 320 elements
         # take two calls
         meshes = {id(s.mesh): s.mesh for s in constrained}.values()
-        assert sum(covered) == sum(mesh.n_elements for mesh in meshes)
+        assert sum(covered) == sum(len(mesh.elements) for mesh in meshes)
         assert sorted(calls) == (
             ["error rule"] * 8 + ["exact solution"] * 3 + ["geometry"] * 9 + ["layout"] * 8
             + ["load"] * 8 + ["material"] * 3 + ["moments"] * 8 + ["monitored node"] * 16
             + ["pattern"] * 8)
 
 
-def test_only_assembly_imports_scipy():
-    # one module builds, slices and factorises sparse matrices; the mesh is
-    # geometry and topology only
+def test_src_imports_no_scipy():
+    # the program imports no scipy module: assembly finds SuperLU's extension
+    # by the import system, and the mesh is geometry and topology only
     importers = set()
     for path in Path(tifem.assembly.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -587,7 +617,7 @@ def test_only_assembly_imports_scipy():
                 continue
             if any(m.split(".")[0] == "scipy" for m in modules):
                 importers.add(path.name)
-    assert importers == {"assembly.py"}
+    assert importers == set()
 
 
 class TestIndefiniteSystem:
@@ -1080,7 +1110,7 @@ class TestFrameInvariance:
             )
             apply_dirichlet(system, {"left": lambda x, y: (0.0, 0.0)})
             sol = solve(system)
-            return sol.displacements @ system.stiffness @ sol.displacements
+            return sol.displacements @ (system.stiffness @ sol.displacements)
 
         e0, e1 = run(False), run(True)
         assert e1 == pytest.approx(e0, rel=1e-10)

@@ -518,9 +518,11 @@ class TestDefaults:
 def test_startup_loads_no_scipy_sparse(tmp_path):
     # a fresh interpreter: importing the CLI loads no scipy module, not even
     # scipy's own package, and a small run of each command imports nothing
-    # more, so no import's time falls inside a command
+    # more, so no import's time falls inside a command; nor does reading an
+    # assembled K through its stiffness view
     script = """
 import json, sys
+import numpy as np
 import tifem.cli
 loaded = set(sys.modules)
 for argv in (["cook", "--p", "2", "--refine", "2", "--angles", "0"],
@@ -528,6 +530,10 @@ for argv in (["cook", "--p", "2", "--refine", "2", "--angles", "0"],
              ["stability", "--p-steps", "3", "--nu-steps", "3"],
              ["material", "--p", "2", "--nu-t", "0.3", "--nu-l", "0.3"]):
     assert tifem.cli.main(argv + ["--out", sys.argv[1]]) == 0
+from tifem import FibreFrame, FormulationVariant, MaterialParameters, assemble, cook_mesh
+mp = MaterialParameters(lam=2.0, mu_t=1.0, mu_l=1.0, alpha=0.0, beta=0.0)
+K = assemble(cook_mesh(4, 1), mp, FibreFrame.from_angle(0.0), FormulationVariant.Q1_CG).stiffness
+assert K.nnz > 0 and (K @ np.ones(K.indptr.size - 1)).shape == (K.indptr.size - 1,)
 print(json.dumps([sorted(m for m in loaded if m.split(".")[0] == "scipy"),
                   sorted(set(sys.modules) - loaded)]))
 """

@@ -44,7 +44,7 @@ class TestRectangleMesh:
     def test_single_cell(self):
         mesh = rectangle_mesh(10.0, 2.0, 1, 1, order=1)
         assert mesh.n_nodes == 4
-        assert mesh.n_elements == 1
+        assert len(mesh.elements) == 1
         assert mesh.h == pytest.approx(math.hypot(10.0, 2.0))
         assert np.allclose(sorted(mesh.nodes[:, 0]), [0, 0, 10, 10])
         assert np.allclose(sorted(mesh.nodes[:, 1]), [-1, -1, 1, 1])
@@ -52,7 +52,7 @@ class TestRectangleMesh:
     def test_q2_node_count(self):
         mesh = rectangle_mesh(10.0, 2.0, 5, 1, order=2)
         assert mesh.n_nodes == (5 * 2 + 1) * (1 * 2 + 1)
-        assert mesh.n_elements == 5
+        assert len(mesh.elements) == 5
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_node_count_formula(self, order):
@@ -79,6 +79,10 @@ class TestRectangleMesh:
             rectangle_mesh(-1.0, 2.0, 1, 1)
         with pytest.raises(ValueError):
             rectangle_mesh(10.0, 2.0, 1, 1, order=3)
+        for size in (math.nan, math.inf, -math.inf):
+            for L, H in ((size, 2.0), (10.0, size)):
+                with pytest.raises(ValueError, match="^L and H must be positive and finite$"):
+                    rectangle_mesh(L, H, 1, 1)
 
 
 class TestCookMesh:
@@ -163,7 +167,7 @@ class TestLocalNodeLayout:
             mesh = rectangle_mesh(8.0, 3.0, nx, ny, order)
             corners = np.array([(0.0, -1.5), (8.0, -1.5), (8.0, 1.5), (0.0, 1.5)])
         xi = REF_1D[LOCAL_NODES[: mesh.elements.shape[1]]]   # (n, 2)
-        ey, ex = np.divmod(np.arange(mesh.n_elements), nx)
+        ey, ex = np.divmod(np.arange(len(mesh.elements)), nx)
         s = (ex[:, None] + (xi[:, 0] + 1) / 2) / nx
         t = (ey[:, None] + (xi[:, 1] + 1) / 2) / ny
         expected = domain_map(corners, s, t)                 # (E, n, 2)

@@ -12,7 +12,10 @@ scipy release that changes gstrf's call or how it stores the factors fails
 here.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,7 +39,7 @@ from tifem.assembly import (
     _BLOCK, CSC, _column_blocks, _factorise, _free_layout, _norm_inf, _pivots, eliminate,
     _stiffness_pattern,
 )
-from conftest import dense, distorted_cook_mesh, sample_admissible
+from conftest import dense, distorted_cook_mesh, sample_admissible, scipy_csr
 
 V = FormulationVariant
 
@@ -154,7 +157,7 @@ def test_mat_vecs_have_scipys_bits(drawn):
     mesh, rng = drawn
     variant = V.Q1_CG_UI_betalambda if mesh.order == 1 else V.Q2_CG
     system = constrained_system(mesh, rng, variant)
-    K = system.stiffness
+    K = scipy_csr(system.stiffness)
     for free in free_sets(mesh, rng):
         hold(system, free, rng)
         got, u, K_ff, rhs, _ = eliminate(system)
@@ -173,7 +176,7 @@ def test_assembled_stiffness_is_symmetric_bit_for_bit(variant):
     mesh = distorted_cook_mesh(4, variant.order, rng)
     mp = derive_parameters(EngineeringConstants(250.0, 1e4, 1.0, 0.3, 0.3))
     system = assemble(mesh, mp, FibreFrame.from_angle(rng.uniform(0.0, math.pi)), variant)
-    K = system.stiffness
+    K = scipy_csr(system.stiffness)
     assert K.T.tocsr().data.tobytes() == K.data.tobytes()
     K = K.toarray()
     assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
@@ -197,7 +200,7 @@ def test_rhs_from_the_fixed_rows_has_scipys_bits(prescribed, order):
     system.constrained.update(prescribed(mesh))
     free, u, K_ff, rhs, _ = eliminate(system)
     assert free.size == system.n_dofs - len(system.constrained)
-    assert rhs.tobytes() == (system.load - system.stiffness @ u)[free].tobytes()
+    assert rhs.tobytes() == (system.load - scipy_csr(system.stiffness) @ u)[free].tobytes()
     assert rhs.tobytes() != system.load[free].tobytes()
 
 
@@ -285,6 +288,28 @@ def test_import_check_refuses_a_misread(monkeypatch, misread):
     monkeypatch.setattr(tifem.assembly, "_pivots", misread)
     with pytest.raises(ImportError, match=r"^scipy \S+ lays out SuperLU's factors otherwise"):
         tifem.assembly._check_pivot_layout()
+
+
+def test_superlu_is_scipys_extension():
+    # the import system found the file that scipy.sparse.linalg itself loads
+    from scipy.sparse.linalg._dsolve import _superlu
+
+    assert tifem.assembly._superlu.__file__ == _superlu.__file__
+
+
+def test_missing_superlu_extension_is_an_import_error(monkeypatch, tmp_path):
+    # a scipy whose _dsolve directory has no _superlu extension: the error
+    # names the directory
+    dsolve = tmp_path / "scipy" / "sparse" / "linalg" / "_dsolve"
+    dsolve.mkdir(parents=True)
+    init = str(tmp_path / "scipy" / "__init__.py")
+    scipy = importlib.machinery.ModuleSpec("scipy", None, origin=init)
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: scipy if name == "scipy" else find_spec(name, *args))
+    message = f"no SuperLU extension _superlu in {dsolve}"
+    with pytest.raises(ImportError, match=f"^{re.escape(message)}$"):
+        tifem.assembly._load_superlu()
 
 
 def panel_K_ff(n, variant):
